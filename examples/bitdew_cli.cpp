@@ -10,16 +10,24 @@
 //   delete NAME             remove a datum everywhere
 //
 // Example:
-//   ./examples/bitdew_cli "nodes 6" "create genome 50MB" \
-//       "attr genome replica=3, ft=true, oob=ftp" "run 30" status
+//   ./build/bitdew_cli <<'EOF'
+//   nodes 6
+//   create genome 50MB
+//   attr genome replica=3, ft=true, oob=ftp
+//   run 30
+//   status
+//   EOF
 //
 // With `connect HOST:PORT` as the first argument the same tool drives a
 // live bitdewd deployment over TCP instead of the simulator:
 //
-//   ./examples/bitdewd --port 9328 --wal /var/lib/bitdew &
-//   ./examples/bitdew_cli connect 127.0.0.1:9328 \
-//       "create genome 50MB" "attr genome replica=3, ft=true" \
-//       "locate genome" "delete genome"
+//   ./build/bitdewd --port 9328 --wal /var/lib/bitdew &
+//   ./build/bitdew_cli connect 127.0.0.1:9328 <<'EOF'
+//   create genome 50MB
+//   attr genome replica=3, ft=true
+//   locate genome
+//   delete genome
+//   EOF
 //
 // Remote commands: create NAME SIZE | attr NAME DSL | search NAME |
 // locate NAME | delete NAME | publish KEY VALUE | lookup KEY |

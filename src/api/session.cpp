@@ -39,7 +39,9 @@ Expected<core::Data> Session::put_file(const std::string& name, const std::strin
   // of a previous, interrupted invocation. A name registered with
   // *different* content is a typed error: names are not unique keys in the
   // catalog, so registering a second datum here would leave later
-  // lookups-by-name resolving to the stale first one.
+  // lookups-by-name resolving to the stale first one. For the same reason
+  // only kNotFound frees the name: any other search failure (the stale
+  // socket's kTransport after a daemon restart) says nothing about it.
   core::Data data;
   const Expected<core::Data> existing = search(name);
   if (existing.ok()) {
@@ -50,31 +52,38 @@ Expected<core::Data> Session::put_file(const std::string& name, const std::strin
                        ") — delete it first"};
     }
     data = *existing;
-  } else {
+  } else if (existing.code() == Errc::kNotFound) {
     const Expected<core::Data> created = create_data(name, content);
     if (!created.ok()) return created;
     data = *created;
+  } else {
+    return existing;
   }
-  const Status uploaded = put_file(data, path);
+  // `content` was hashed from `path` just above and matches `data`, so skip
+  // TcpTransfer::put_file's own hash of the file.
+  const Status uploaded = run_transfer(
+      data.uid, [&](transfer::TcpTransfer& engine) { return engine.upload(data, path); });
   if (!uploaded.ok()) return uploaded.propagate<core::Data>();
   return data;
 }
 
 Status Session::put_file(const core::Data& data, const std::string& path) {
-  transfer::TcpTransfer engine(
-      bitdew_.bus(), transfer::TcpConfig{chunk_bytes_, transfer_attempts_, true}, pump_);
-  if (tm_ != nullptr) tm_->begin(data.uid);
-  const Status outcome = engine.put_file(data, path);
-  if (tm_ != nullptr) tm_->finish(data.uid, outcome);
-  return outcome;
+  return run_transfer(
+      data.uid, [&](transfer::TcpTransfer& engine) { return engine.put_file(data, path); });
 }
 
 Status Session::get_file(const core::Data& data, const std::string& path) {
+  return run_transfer(
+      data.uid, [&](transfer::TcpTransfer& engine) { return engine.get_file(data, path); });
+}
+
+Status Session::run_transfer(const util::Auid& uid,
+                             const std::function<Status(transfer::TcpTransfer&)>& step) {
   transfer::TcpTransfer engine(
       bitdew_.bus(), transfer::TcpConfig{chunk_bytes_, transfer_attempts_, true}, pump_);
-  if (tm_ != nullptr) tm_->begin(data.uid);
-  const Status outcome = engine.get_file(data, path);
-  if (tm_ != nullptr) tm_->finish(data.uid, outcome);
+  if (tm_ != nullptr) tm_->begin(uid);
+  const Status outcome = step(engine);
+  if (tm_ != nullptr) tm_->finish(uid, outcome);
   return outcome;
 }
 

@@ -24,6 +24,10 @@
 #include "api/bitdew.hpp"
 #include "api/transfer_manager.hpp"
 
+namespace bitdew::transfer {
+class TcpTransfer;
+}  // namespace bitdew::transfer
+
 namespace bitdew::api {
 
 /// A one-shot slot resolved by a Reply callback; created by Session.
@@ -209,6 +213,8 @@ class Session {
   /// Creates a data slot named `name` from the file at `path` — or reuses
   /// the registered slot of that name when its descriptor matches the file,
   /// so a re-run resumes an interrupted upload — then uploads the content.
+  /// The file is hashed once, here; only a kNotFound search registers a new
+  /// slot (any other search failure is returned).
   Expected<core::Data> put_file(const std::string& name, const std::string& path);
 
   /// Uploads the file at `path` as the content of an existing slot.
@@ -245,6 +251,11 @@ class Session {
     }
     return **slot;
   }
+
+  /// Runs one data-plane step on a TcpTransfer built from this session's
+  /// knobs, bracketed by the TransferManager's begin/finish for `uid`.
+  Status run_transfer(const util::Auid& uid,
+                      const std::function<Status(transfer::TcpTransfer&)>& step);
 
   BitDew& bitdew_;
   ActiveData& active_data_;

@@ -90,7 +90,10 @@ Status TcpTransfer::put_file(const core::Data& data, const std::string& path) {
     return Error{Errc::kInvalidArgument, "tcp",
                  path + " does not match the datum's registered size/checksum"};
   }
+  return upload(data, path);
+}
 
+Status TcpTransfer::upload(const core::Data& data, const std::string& path) {
   const services::TicketId ticket = open_ticket(data, /*upload=*/true);
   core::Locator locator;
   Status outcome = ok_status();

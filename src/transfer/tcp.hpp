@@ -61,9 +61,16 @@ class TcpTransfer {
   explicit TcpTransfer(api::ServiceBus& bus, TcpConfig config = {}, Pump pump = nullptr);
 
   /// Uploads the file at `path` as the content of `data`. The data's
-  /// checksum/size must match the file (it is the commit reference).
-  /// Publishes the minted locator in the Data Catalog on success.
+  /// checksum/size must match the file (it is the commit reference):
+  /// hashes `path` and fails kInvalidArgument on a mismatch, then upload()s.
   api::Status put_file(const core::Data& data, const std::string& path);
+
+  /// put_file() after its descriptor check, for a caller that has just
+  /// hashed `path` and matched it against `data` itself. Publishes the
+  /// minted locator in the Data Catalog on success. The repository still
+  /// verifies the assembled bytes at commit, so a file changed since the
+  /// caller hashed it fails kChecksumMismatch (or kUnavailable if it shrank).
+  api::Status upload(const core::Data& data, const std::string& path);
 
   /// Downloads the content of `data` into `path` (staged via `path`.part,
   /// renamed only after MD5 verification against data.checksum).

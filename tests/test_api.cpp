@@ -9,7 +9,11 @@
 // calls fail Errc::kTransport within the deadline instead of hanging.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <optional>
 
 #include "api/direct_service_bus.hpp"
@@ -661,6 +665,61 @@ TEST(RemoteTransport, ClientReconnectsAfterRestart) {
   ASSERT_TRUE(fresh.has_value());
   EXPECT_TRUE(fresh->ok());
   EXPECT_EQ(container.dc().size(), stale->ok() ? 3u : 2u);
+}
+
+/// Session::put_file(name, path) across a daemon restart: the stale socket's
+/// failed search must not read as "name not registered" — a second datum
+/// under the same name would shadow the first in lookups by name.
+TEST(RemoteTransport, PutFileAfterRestartKeepsOneDatumPerName) {
+  const std::filesystem::path dir = std::filesystem::temp_directory_path() /
+                                    ("bitdew-api-restart-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string wal = (dir / "wal").string();
+  const std::string path = (dir / "x.bin").string();
+  std::ofstream(path, std::ios::binary) << std::string(3000, 'x');
+
+  util::ManualClock clock;
+  dht::LocalDht ddc;
+  rpc::ServiceHostConfig config{0, /*loopback_only=*/true, -1};
+  auto container = std::make_unique<services::ServiceContainer>("server", clock, wal);
+  auto host = std::make_unique<rpc::ServiceHost>(*container, ddc, config);
+  ASSERT_TRUE(host->start().ok());
+  config.port = host->port();
+
+  api::RemoteServiceBus bus("127.0.0.1", config.port, api::RemoteBusConfig{1.0, 2.0});
+  api::BitDew bitdew(bus, "client");
+  api::ActiveData active_data(bus, "client");
+  api::Session session(bitdew, active_data);
+  session.set_chunk_bytes(1024);
+  const Expected<core::Data> first = session.put_file("x", path);
+  ASSERT_TRUE(first.ok()) << first.error().to_string();
+
+  // Restart: same WAL, same port, fresh everything else.
+  host.reset();
+  container = std::make_unique<services::ServiceContainer>("server", clock, wal);
+  host = std::make_unique<rpc::ServiceHost>(*container, ddc, config);
+  ASSERT_TRUE(host->start().ok());
+
+  // The first call on the stale socket may fail; it must fail typed, and
+  // the next put (over a fresh connection) reuses the registered slot.
+  Expected<core::Data> again = session.put_file("x", path);
+  if (!again.ok()) {
+    EXPECT_EQ(again.code(), Errc::kTransport) << again.error().to_string();
+    again = session.put_file("x", path);
+  }
+  ASSERT_TRUE(again.ok()) << again.error().to_string();
+  EXPECT_EQ(again->uid, first->uid);
+
+  std::optional<Expected<std::vector<core::Data>>> named;
+  bus.dc_search("x", [&](auto found) { named = std::move(found); });
+  ASSERT_TRUE(named.has_value() && named->ok());
+  ASSERT_EQ((*named)->size(), 1u);
+  EXPECT_EQ((*named)->front().uid, first->uid);
+
+  host.reset();
+  container.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // parsing, strings, stats and the deterministic RNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <thread>
 
@@ -59,6 +60,49 @@ TEST(Md5, StreamingMatchesOneShot) {
     hasher.update(input.substr(0, split));
     hasher.update(input.substr(split));
     EXPECT_EQ(hasher.finish().hex(), expected) << "split at " << split;
+  }
+}
+
+TEST(Md5, MillionAVector) {
+  // RFC 1321's "a" x 10^6 vector: 15625 full blocks, then a padding block.
+  EXPECT_EQ(Md5::of(std::string(1000000, 'a')).hex(), "7707d6ae4e027c70eea2a935c2296f21");
+}
+
+TEST(Md5, DigestOfDigestsOverEveryLengthUpTo200) {
+  // The digests of every prefix (0..200 bytes) of a fixed byte pattern, fed
+  // into one outer MD5. Covers both padding branches (tail < 56 and >= 56
+  // bytes) at every block count from 1 to 5. The constant comes from an
+  // independent implementation:
+  //   python3 -c "import hashlib; p=bytes((i*167+13)&255 for i in range(200));
+  //     print(hashlib.md5(b''.join(hashlib.md5(p[:n]).digest()
+  //                                for n in range(201))).hexdigest())"
+  std::string pattern;
+  for (int i = 0; i < 200; ++i) pattern.push_back(static_cast<char>((i * 167 + 13) & 0xff));
+  Md5 outer;
+  for (std::size_t length = 0; length <= pattern.size(); ++length) {
+    const auto digest = Md5::of(std::string_view(pattern).substr(0, length));
+    outer.update(digest.bytes.data(), digest.bytes.size());
+  }
+  EXPECT_EQ(outer.finish().hex(), "4fafd5e7deb5e76f6b4d408d3aff52e0");
+}
+
+TEST(Md5, RandomPiecesMatchOneShot) {
+  // 1 MiB of seeded bytes fed in random-size pieces (0..3000 bytes, so
+  // pieces start and end at every offset within a block).
+  util::Rng rng(0x6d35);
+  std::string input(1 << 20, '\0');
+  for (char& byte : input) byte = static_cast<char>(rng.below(256));
+  const std::string expected = Md5::of(input).hex();
+  for (int round = 0; round < 4; ++round) {
+    Md5 hasher;
+    std::size_t at = 0;
+    while (at < input.size()) {
+      const std::size_t piece =
+          std::min<std::size_t>(static_cast<std::size_t>(rng.below(3001)), input.size() - at);
+      hasher.update(input.data() + at, piece);
+      at += piece;
+    }
+    EXPECT_EQ(hasher.finish().hex(), expected) << "round " << round;
   }
 }
 
