@@ -17,7 +17,7 @@
 
 #include "api/remote_service_bus.hpp"
 #include "db/database.hpp"
-#include "dht/ring.hpp"
+#include "dht/ring_math.hpp"
 #include "net/network.hpp"
 #include "rpc/codec.hpp"
 #include "rpc/server.hpp"

@@ -192,7 +192,7 @@ BusOutcome run_bus_registration(int count, int batch) {
   runtime::ServiceQueue queue(sim, 500e-6);
   dht::LocalDht ddc;
   runtime::SimServiceBus bus(sim, net, cluster.hosts[1], cluster.hosts[0], container, queue,
-                             ddc, runtime::BusConfig{});
+                             ddc);
 
   std::vector<core::Data> items;
   items.reserve(static_cast<std::size_t>(count));

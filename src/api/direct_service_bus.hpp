@@ -3,78 +3,39 @@
 // Distributed Data Catalog), and the reply fires before the call returns.
 // This is the bus behind in-process deployments and unit tests: the same
 // user code that runs over the simulated network (SimServiceBus) runs here
-// with identical Error codes, because both route through service_ops.hpp.
+// with identical Error codes, because every bus runs the handlers of the
+// bus endpoint list (service_ops.hpp).
 #pragma once
 
-#include "api/service_bus.hpp"
+#include "api/bus_base.hpp"
 #include "dht/local_dht.hpp"
 #include "services/container.hpp"
 
 namespace bitdew::api {
 
-class DirectServiceBus final : public ServiceBus {
+class DirectServiceBus final : public BusBase<DirectServiceBus> {
  public:
   DirectServiceBus(services::ServiceContainer& container, dht::LocalDht& ddc)
       : container_(container), ddc_(ddc) {}
 
-  void dc_register(const core::Data& data, Reply<Status> done) override;
-  void dc_get(const util::Auid& uid, Reply<Expected<core::Data>> done) override;
-  void dc_search(const std::string& name,
-                 Reply<Expected<std::vector<core::Data>>> done) override;
-  void dc_remove(const util::Auid& uid, Reply<Status> done) override;
-  void dc_add_locator(const core::Locator& locator, Reply<Status> done) override;
-  void dc_locators(const util::Auid& uid,
-                   Reply<Expected<std::vector<core::Locator>>> done) override;
-  void dr_put(const core::Data& data, const core::Content& content, const std::string& protocol,
-              Reply<Expected<core::Locator>> done) override;
-  void dr_get(const util::Auid& uid, Reply<Expected<core::Content>> done) override;
-  void dr_remove(const util::Auid& uid, Reply<Status> done) override;
-  void dr_put_start(const core::Data& data, Reply<Expected<std::int64_t>> done) override;
-  void dr_put_chunk(const util::Auid& uid, std::int64_t offset, const std::string& bytes,
-                    Reply<Status> done) override;
-  void dr_put_commit(const util::Auid& uid, const std::string& protocol,
-                     Reply<Expected<core::Locator>> done) override;
-  void dr_get_chunk(const util::Auid& uid, std::int64_t offset, std::int64_t max_bytes,
-                    Reply<Expected<std::string>> done) override;
-  void dr_stats(Reply<Expected<services::RepoStats>> done) override;
-  void dt_register(const core::Data& data, const std::string& source,
-                   const std::string& destination, const std::string& protocol,
-                   Reply<Expected<services::TicketId>> done) override;
-  void dt_monitor(services::TicketId ticket, std::int64_t done_bytes,
-                  Reply<Status> done) override;
-  void dt_complete(services::TicketId ticket, const std::string& received_checksum,
-                   const std::string& expected_checksum, Reply<Status> done) override;
-  void dt_failure(services::TicketId ticket, std::int64_t bytes_held, bool can_resume,
-                  Reply<Status> done) override;
-  void dt_give_up(services::TicketId ticket, Reply<Status> done) override;
-  void ds_schedule(const core::Data& data, const core::DataAttributes& attributes,
-                   Reply<Status> done) override;
-  void ds_pin(const util::Auid& uid, const std::string& host, Reply<Status> done) override;
-  void ds_unschedule(const util::Auid& uid, Reply<Status> done) override;
-  void ds_sync(const services::SyncRequest& request,
-               Reply<Expected<services::SyncReply>> done) override;
-  void ds_hosts(Reply<Expected<std::vector<services::HostInfo>>> done) override;
-  void job_submit(const jobs::JobSpec& spec, Reply<Expected<util::Auid>> done) override;
-  void job_status(const util::Auid& job,
-                  Reply<Expected<jobs::JobStatusInfo>> done) override;
-  void job_claim(const util::Auid& task, const std::string& runner,
-                 Reply<Expected<jobs::TaskOrder>> done) override;
-  void job_task_report(const jobs::TaskReport& report, Reply<Status> done) override;
-  void ddc_publish(const std::string& key, const std::string& value,
-                   Reply<Status> done) override;
-  void ddc_search(const std::string& key,
-                  Reply<Expected<std::vector<std::string>>> done) override;
-
-  // Native bulk endpoints: one container call for the whole batch.
-  void dc_register_batch(const std::vector<core::Data>& items, Reply<BatchStatus> done) override;
-  void dc_locators_batch(const std::vector<util::Auid>& uids, Reply<BatchLocators> done) override;
-  void ds_schedule_batch(const std::vector<services::ScheduledData>& items,
-                         Reply<BatchStatus> done) override;
-  void ddc_publish_batch(const std::vector<KeyValue>& pairs, Reply<BatchStatus> done) override;
-
   std::uint64_t call_count() const { return calls_; }
 
  private:
+  friend class BusBase<DirectServiceBus>;
+
+  /// One container call per call; an empty batch makes none.
+  template <typename Op, typename... A>
+  void call(Reply<typename Op::Reply> done, const A&... args) {
+    if constexpr (Op::kBatch) {
+      if (call_items<Op>(args...) == 0) {
+        done({});
+        return;
+      }
+    }
+    ++calls_;
+    done(Op::run(container_, ddc_, args...));
+  }
+
   services::ServiceContainer& container_;
   dht::LocalDht& ddc_;
   std::uint64_t calls_ = 0;

@@ -49,11 +49,7 @@ rpc::ClientChannel* RemoteServiceBus::peer_channel(const std::string& endpoint) 
   return peers_.emplace(endpoint, std::move(channel)).first->second.get();
 }
 
-Expected<std::string> RemoteServiceBus::call_routed(
-    Endpoint endpoint, const std::function<void(rpc::Writer&)>& encode_body) {
-  rpc::Writer w;
-  encode_body(w);
-  const std::string body = w.take();
+Expected<std::string> RemoteServiceBus::call_routed(Endpoint endpoint, const std::string& body) {
   ++rpcs_;
   Expected<std::string> reply =
       channel_.call(endpoint, [&body](rpc::Writer& frame) { frame.append_raw(body); });
@@ -94,6 +90,16 @@ void RemoteServiceBus::set_pipeline_depth(int depth) {
   }
 }
 
+void RemoteServiceBus::defer(Endpoint endpoint, std::string body,
+                             std::function<void(const Expected<std::string>&)> complete) {
+  ++rpcs_;
+  rpc::ClientChannel::PendingReply pending =
+      channel_.send(endpoint, [&body](rpc::Writer& frame) { frame.append_raw(body); });
+  deferred_.push_back(Deferred{std::move(pending), endpoint, std::move(body), std::move(complete)});
+  while (static_cast<int>(deferred_.size()) >= config_.pipeline_depth && pump()) {
+  }
+}
+
 bool RemoteServiceBus::pump() {
   if (deferred_.empty()) return false;
   Deferred oldest = std::move(deferred_.front());
@@ -101,7 +107,7 @@ bool RemoteServiceBus::pump() {
   // wait() demuxes by request id: replies for NEWER calls that arrive first
   // are parked in their own futures, so completion order here is FIFO even
   // though the host answers out of order.
-  oldest.complete(oldest.reply.wait());
+  oldest.complete(chase_redirects(oldest.endpoint, oldest.body, oldest.reply.wait()));
   return true;
 }
 
@@ -112,95 +118,8 @@ void RemoteServiceBus::drain() {
 
 Expected<wire::RingStatusInfo> RemoteServiceBus::ring_info() {
   ++rpcs_;
-  const Expected<std::string> reply = channel_.call(Endpoint::kRingInfo, [](rpc::Writer&) {});
-  if (!reply.ok()) return reply.error();
-  try {
-    rpc::Reader r(*reply);
-    Expected<wire::RingStatusInfo> info =
-        wire::read_expected<wire::RingStatusInfo>(r, wire::read_ring_status_info);
-    if (!r.exhausted()) throw rpc::CodecError("trailing bytes in reply");
-    return info;
-  } catch (const rpc::CodecError& error) {
-    channel_.close();
-    return Error{Errc::kTransport, "bus", std::string("ring_info reply decode: ") + error.what()};
-  }
-}
-
-template <typename T, typename EncodeBody, typename ReadValue>
-void RemoteServiceBus::invoke(Endpoint endpoint, EncodeBody&& encode_body,
-                              Reply<Expected<T>> done, ReadValue&& read_value) {
-  const auto decode = [this, endpoint](const std::string& payload, auto& reader,
-                                       Reply<Expected<T>>& reply_cb) {
-    try {
-      rpc::Reader r(payload);
-      Expected<T> value = wire::read_expected<T>(r, reader);
-      if (!r.exhausted()) throw rpc::CodecError("trailing bytes in reply");
-      reply_cb(std::move(value));
-    } catch (const rpc::CodecError& error) {
-      channel_.close();
-      reply_cb(Error{Errc::kTransport, "bus",
-                     std::string(wire::endpoint_name(endpoint)) +
-                         " reply decode: " + error.what()});
-    }
-  };
-
-  if (config_.pipeline_depth <= 1) {
-    Expected<std::string> reply = call_routed(endpoint, encode_body);
-    if (!reply.ok()) {
-      done(reply.error());
-      return;
-    }
-    decode(*reply, read_value, done);
-    return;
-  }
-
-  // Pipelined: put the frame on the wire now, decode when the window pump
-  // reaches it. The encoded body is owned by the completion so a ring
-  // redirect can re-send it after the caller's arguments are gone.
-  rpc::Writer w;
-  encode_body(w);
-  std::string body = w.take();
-  ++rpcs_;
-  rpc::ClientChannel::PendingReply pending =
-      channel_.send(endpoint, [&body](rpc::Writer& frame) { frame.append_raw(body); });
-  deferred_.push_back(Deferred{
-      std::move(pending),
-      [this, endpoint, decode, body = std::move(body), done = std::move(done),
-       read_value = std::forward<ReadValue>(read_value)](Expected<std::string> reply) mutable {
-        reply = chase_redirects(endpoint, body, std::move(reply));
-        if (!reply.ok()) {
-          done(reply.error());
-          return;
-        }
-        decode(*reply, read_value, done);
-      }});
-  while (static_cast<int>(deferred_.size()) >= config_.pipeline_depth && pump()) {
-  }
-}
-
-template <typename Item, typename EncodeBody, typename ReadReply>
-void RemoteServiceBus::invoke_batch(Endpoint endpoint, std::size_t count,
-                                    EncodeBody&& encode_body, Reply<std::vector<Item>> done,
-                                    ReadReply&& read_reply) {
-  ++rpcs_;
-  Expected<std::string> reply = channel_.call(endpoint, encode_body);
-  if (!reply.ok()) {
-    done(std::vector<Item>(count, Item(reply.error())));
-    return;
-  }
-  try {
-    rpc::Reader r(*reply);
-    std::vector<Item> items = read_reply(r);
-    if (!r.exhausted()) throw rpc::CodecError("trailing bytes in reply");
-    if (items.size() != count) throw rpc::CodecError("reply not index-aligned with request");
-    done(std::move(items));
-  } catch (const rpc::CodecError& error) {
-    channel_.close();
-    const Error failure{Errc::kTransport, "bus",
-                        std::string(wire::endpoint_name(endpoint)) +
-                            " reply decode: " + error.what()};
-    done(std::vector<Item>(count, Item(failure)));
-  }
+  return decode<Expected<wire::RingStatusInfo>>(
+      Endpoint::kRingInfo, channel_.call(Endpoint::kRingInfo, [](rpc::Writer&) {}));
 }
 
 Status RemoteServiceBus::ping() {
@@ -208,336 +127,6 @@ Status RemoteServiceBus::ping() {
   Expected<std::string> reply = channel_.call(Endpoint::kPing, [](rpc::Writer&) {});
   if (!reply.ok()) return reply.error();
   return ok_status();
-}
-
-// --- Data Catalog ------------------------------------------------------------
-
-void RemoteServiceBus::dc_register(const core::Data& data, Reply<Status> done) {
-  invoke<Unit>(
-      Endpoint::kDcRegister, [&](rpc::Writer& w) { wire::write_data(w, data); },
-      std::move(done), [](rpc::Reader&) { return Unit{}; });
-}
-
-void RemoteServiceBus::dc_get(const util::Auid& uid, Reply<Expected<core::Data>> done) {
-  invoke<core::Data>(
-      Endpoint::kDcGet, [&](rpc::Writer& w) { wire::write_auid(w, uid); }, std::move(done),
-      wire::read_data);
-}
-
-void RemoteServiceBus::dc_search(const std::string& name,
-                                 Reply<Expected<std::vector<core::Data>>> done) {
-  invoke<std::vector<core::Data>>(
-      Endpoint::kDcSearch, [&](rpc::Writer& w) { w.str(name); }, std::move(done),
-      wire::read_data_list);
-}
-
-void RemoteServiceBus::dc_remove(const util::Auid& uid, Reply<Status> done) {
-  invoke<Unit>(
-      Endpoint::kDcRemove, [&](rpc::Writer& w) { wire::write_auid(w, uid); }, std::move(done),
-      [](rpc::Reader&) { return Unit{}; });
-}
-
-void RemoteServiceBus::dc_add_locator(const core::Locator& locator, Reply<Status> done) {
-  invoke<Unit>(
-      Endpoint::kDcAddLocator, [&](rpc::Writer& w) { wire::write_locator(w, locator); },
-      std::move(done), [](rpc::Reader&) { return Unit{}; });
-}
-
-void RemoteServiceBus::dc_locators(const util::Auid& uid,
-                                   Reply<Expected<std::vector<core::Locator>>> done) {
-  invoke<std::vector<core::Locator>>(
-      Endpoint::kDcLocators, [&](rpc::Writer& w) { wire::write_auid(w, uid); },
-      std::move(done), wire::read_locator_list);
-}
-
-// --- Data Repository ---------------------------------------------------------
-
-void RemoteServiceBus::dr_put(const core::Data& data, const core::Content& content,
-                              const std::string& protocol, Reply<Expected<core::Locator>> done) {
-  invoke<core::Locator>(
-      Endpoint::kDrPut,
-      [&](rpc::Writer& w) {
-        wire::write_data(w, data);
-        wire::write_content(w, content);
-        w.str(protocol);
-      },
-      std::move(done), wire::read_locator);
-}
-
-void RemoteServiceBus::dr_get(const util::Auid& uid, Reply<Expected<core::Content>> done) {
-  invoke<core::Content>(
-      Endpoint::kDrGet, [&](rpc::Writer& w) { wire::write_auid(w, uid); }, std::move(done),
-      wire::read_content);
-}
-
-void RemoteServiceBus::dr_remove(const util::Auid& uid, Reply<Status> done) {
-  invoke<Unit>(
-      Endpoint::kDrRemove, [&](rpc::Writer& w) { wire::write_auid(w, uid); }, std::move(done),
-      [](rpc::Reader&) { return Unit{}; });
-}
-
-// Data plane: each chunk ships as one frame over the same framed transport
-// the control calls use — an out-of-band endpoint family, not a second
-// protocol. transfer::TcpTransfer typically drives these over a dedicated
-// connection so data streams do not head-of-line-block control traffic.
-void RemoteServiceBus::dr_put_start(const core::Data& data,
-                                    Reply<Expected<std::int64_t>> done) {
-  invoke<std::int64_t>(
-      Endpoint::kDrPutStart, [&](rpc::Writer& w) { wire::write_data(w, data); },
-      std::move(done), [](rpc::Reader& r) { return r.i64(); });
-}
-
-void RemoteServiceBus::dr_put_chunk(const util::Auid& uid, std::int64_t offset,
-                                    const std::string& bytes, Reply<Status> done) {
-  invoke<Unit>(
-      Endpoint::kDrPutChunk,
-      [&](rpc::Writer& w) {
-        wire::write_auid(w, uid);
-        w.i64(offset);
-        w.str(bytes);
-      },
-      std::move(done), [](rpc::Reader&) { return Unit{}; });
-}
-
-void RemoteServiceBus::dr_put_commit(const util::Auid& uid, const std::string& protocol,
-                                     Reply<Expected<core::Locator>> done) {
-  invoke<core::Locator>(
-      Endpoint::kDrPutCommit,
-      [&](rpc::Writer& w) {
-        wire::write_auid(w, uid);
-        w.str(protocol);
-      },
-      std::move(done), wire::read_locator);
-}
-
-void RemoteServiceBus::dr_get_chunk(const util::Auid& uid, std::int64_t offset,
-                                    std::int64_t max_bytes, Reply<Expected<std::string>> done) {
-  invoke<std::string>(
-      Endpoint::kDrGetChunk,
-      [&](rpc::Writer& w) {
-        wire::write_auid(w, uid);
-        w.i64(offset);
-        w.i64(max_bytes);
-      },
-      std::move(done), [](rpc::Reader& r) { return r.str(); });
-}
-
-void RemoteServiceBus::dr_stats(Reply<Expected<services::RepoStats>> done) {
-  invoke<services::RepoStats>(
-      Endpoint::kDrStats, [](rpc::Writer&) {}, std::move(done), wire::read_repo_stats);
-}
-
-// --- Data Transfer -----------------------------------------------------------
-
-void RemoteServiceBus::dt_register(const core::Data& data, const std::string& source,
-                                   const std::string& destination, const std::string& protocol,
-                                   Reply<Expected<services::TicketId>> done) {
-  invoke<services::TicketId>(
-      Endpoint::kDtRegister,
-      [&](rpc::Writer& w) {
-        wire::write_data(w, data);
-        w.str(source);
-        w.str(destination);
-        w.str(protocol);
-      },
-      std::move(done), [](rpc::Reader& r) { return services::TicketId{r.u64()}; });
-}
-
-void RemoteServiceBus::dt_monitor(services::TicketId ticket, std::int64_t done_bytes,
-                                  Reply<Status> done) {
-  invoke<Unit>(
-      Endpoint::kDtMonitor,
-      [&](rpc::Writer& w) {
-        w.u64(ticket);
-        w.i64(done_bytes);
-      },
-      std::move(done), [](rpc::Reader&) { return Unit{}; });
-}
-
-void RemoteServiceBus::dt_complete(services::TicketId ticket,
-                                   const std::string& received_checksum,
-                                   const std::string& expected_checksum, Reply<Status> done) {
-  invoke<Unit>(
-      Endpoint::kDtComplete,
-      [&](rpc::Writer& w) {
-        w.u64(ticket);
-        w.str(received_checksum);
-        w.str(expected_checksum);
-      },
-      std::move(done), [](rpc::Reader&) { return Unit{}; });
-}
-
-void RemoteServiceBus::dt_failure(services::TicketId ticket, std::int64_t bytes_held,
-                                  bool can_resume, Reply<Status> done) {
-  invoke<Unit>(
-      Endpoint::kDtFailure,
-      [&](rpc::Writer& w) {
-        w.u64(ticket);
-        w.i64(bytes_held);
-        w.boolean(can_resume);
-      },
-      std::move(done), [](rpc::Reader&) { return Unit{}; });
-}
-
-void RemoteServiceBus::dt_give_up(services::TicketId ticket, Reply<Status> done) {
-  invoke<Unit>(
-      Endpoint::kDtGiveUp, [&](rpc::Writer& w) { w.u64(ticket); }, std::move(done),
-      [](rpc::Reader&) { return Unit{}; });
-}
-
-// --- Data Scheduler ----------------------------------------------------------
-
-void RemoteServiceBus::ds_schedule(const core::Data& data,
-                                   const core::DataAttributes& attributes, Reply<Status> done) {
-  invoke<Unit>(
-      Endpoint::kDsSchedule,
-      [&](rpc::Writer& w) {
-        wire::write_data(w, data);
-        wire::write_attributes(w, attributes);
-      },
-      std::move(done), [](rpc::Reader&) { return Unit{}; });
-}
-
-void RemoteServiceBus::ds_pin(const util::Auid& uid, const std::string& host,
-                              Reply<Status> done) {
-  invoke<Unit>(
-      Endpoint::kDsPin,
-      [&](rpc::Writer& w) {
-        wire::write_auid(w, uid);
-        w.str(host);
-      },
-      std::move(done), [](rpc::Reader&) { return Unit{}; });
-}
-
-void RemoteServiceBus::ds_unschedule(const util::Auid& uid, Reply<Status> done) {
-  invoke<Unit>(
-      Endpoint::kDsUnschedule, [&](rpc::Writer& w) { wire::write_auid(w, uid); },
-      std::move(done), [](rpc::Reader&) { return Unit{}; });
-}
-
-void RemoteServiceBus::ds_sync(const services::SyncRequest& request,
-                               Reply<Expected<services::SyncReply>> done) {
-  invoke<services::SyncReply>(
-      Endpoint::kDsSync,
-      [&](rpc::Writer& w) { wire::write_sync_request(w, request); },
-      std::move(done), wire::read_sync_reply);
-}
-
-void RemoteServiceBus::ds_hosts(Reply<Expected<std::vector<services::HostInfo>>> done) {
-  invoke<std::vector<services::HostInfo>>(
-      Endpoint::kDsHosts, [](rpc::Writer&) {}, std::move(done), wire::read_host_list);
-}
-
-// --- Job service -------------------------------------------------------------
-
-void RemoteServiceBus::job_submit(const jobs::JobSpec& spec,
-                                  Reply<Expected<util::Auid>> done) {
-  invoke<util::Auid>(
-      Endpoint::kJobSubmit, [&](rpc::Writer& w) { wire::write_job_spec(w, spec); },
-      std::move(done), wire::read_auid);
-}
-
-void RemoteServiceBus::job_status(const util::Auid& job,
-                                  Reply<Expected<jobs::JobStatusInfo>> done) {
-  invoke<jobs::JobStatusInfo>(
-      Endpoint::kJobStatus, [&](rpc::Writer& w) { wire::write_auid(w, job); },
-      std::move(done), wire::read_job_status_info);
-}
-
-void RemoteServiceBus::job_claim(const util::Auid& task, const std::string& runner,
-                                 Reply<Expected<jobs::TaskOrder>> done) {
-  invoke<jobs::TaskOrder>(
-      Endpoint::kJobClaim,
-      [&](rpc::Writer& w) {
-        wire::write_auid(w, task);
-        w.str(runner);
-      },
-      std::move(done), wire::read_task_order);
-}
-
-void RemoteServiceBus::job_task_report(const jobs::TaskReport& report, Reply<Status> done) {
-  invoke<Unit>(
-      Endpoint::kJobTaskReport,
-      [&](rpc::Writer& w) { wire::write_task_report(w, report); }, std::move(done),
-      [](rpc::Reader&) { return Unit{}; });
-}
-
-// --- Distributed Data Catalog ------------------------------------------------
-
-void RemoteServiceBus::ddc_publish(const std::string& key, const std::string& value,
-                                   Reply<Status> done) {
-  invoke<Unit>(
-      Endpoint::kDdcPublish,
-      [&](rpc::Writer& w) {
-        w.str(key);
-        w.str(value);
-      },
-      std::move(done), [](rpc::Reader&) { return Unit{}; });
-}
-
-void RemoteServiceBus::ddc_search(const std::string& key,
-                                  Reply<Expected<std::vector<std::string>>> done) {
-  invoke<std::vector<std::string>>(
-      Endpoint::kDdcSearch, [&](rpc::Writer& w) { w.str(key); }, std::move(done),
-      wire::read_string_list);
-}
-
-// --- bulk endpoints ----------------------------------------------------------
-
-void RemoteServiceBus::dc_register_batch(const std::vector<core::Data>& items,
-                                         Reply<BatchStatus> done) {
-  if (items.empty()) {
-    done({});
-    return;
-  }
-  invoke_batch<Status>(
-      Endpoint::kDcRegisterBatch,
-      items.size(), [&](rpc::Writer& w) { wire::write_register_batch(w, items); },
-      std::move(done), wire::read_status_batch);
-}
-
-void RemoteServiceBus::dc_locators_batch(const std::vector<util::Auid>& uids,
-                                         Reply<BatchLocators> done) {
-  if (uids.empty()) {
-    done({});
-    return;
-  }
-  invoke_batch<Expected<std::vector<core::Locator>>>(
-      Endpoint::kDcLocatorsBatch,
-      uids.size(), [&](rpc::Writer& w) { wire::write_locators_batch_request(w, uids); },
-      std::move(done), wire::read_locators_batch_reply);
-}
-
-void RemoteServiceBus::ds_schedule_batch(const std::vector<services::ScheduledData>& items,
-                                         Reply<BatchStatus> done) {
-  if (items.empty()) {
-    done({});
-    return;
-  }
-  std::vector<std::pair<core::Data, core::DataAttributes>> pairs;
-  pairs.reserve(items.size());
-  for (const services::ScheduledData& item : items) {
-    pairs.emplace_back(item.data, item.attributes);
-  }
-  invoke_batch<Status>(
-      Endpoint::kDsScheduleBatch,
-      items.size(), [&](rpc::Writer& w) { wire::write_schedule_batch(w, pairs); },
-      std::move(done), wire::read_status_batch);
-}
-
-void RemoteServiceBus::ddc_publish_batch(const std::vector<KeyValue>& pairs,
-                                         Reply<BatchStatus> done) {
-  if (pairs.empty()) {
-    done({});
-    return;
-  }
-  std::vector<std::pair<std::string, std::string>> kvs;
-  kvs.reserve(pairs.size());
-  for (const KeyValue& pair : pairs) kvs.emplace_back(pair.key, pair.value);
-  invoke_batch<Status>(
-      Endpoint::kDdcPublishBatch,
-      pairs.size(), [&](rpc::Writer& w) { wire::write_publish_batch(w, kvs); },
-      std::move(done), wire::read_status_batch);
 }
 
 }  // namespace bitdew::api

@@ -27,7 +27,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "api/service_bus.hpp"
+#include "api/bus_base.hpp"
 #include "rpc/transport.hpp"
 #include "rpc/wire.hpp"
 
@@ -44,7 +44,7 @@ struct RemoteBusConfig {
   int pipeline_depth = 1;
 };
 
-class RemoteServiceBus final : public ServiceBus {
+class RemoteServiceBus final : public BusBase<RemoteServiceBus> {
  public:
   RemoteServiceBus(std::string host, std::uint16_t port, RemoteBusConfig config = {})
       : config_(config),
@@ -52,61 +52,6 @@ class RemoteServiceBus final : public ServiceBus {
 
   /// Liveness probe: one kPing round-trip.
   Status ping();
-
-  void dc_register(const core::Data& data, Reply<Status> done) override;
-  void dc_get(const util::Auid& uid, Reply<Expected<core::Data>> done) override;
-  void dc_search(const std::string& name,
-                 Reply<Expected<std::vector<core::Data>>> done) override;
-  void dc_remove(const util::Auid& uid, Reply<Status> done) override;
-  void dc_add_locator(const core::Locator& locator, Reply<Status> done) override;
-  void dc_locators(const util::Auid& uid,
-                   Reply<Expected<std::vector<core::Locator>>> done) override;
-  void dr_put(const core::Data& data, const core::Content& content, const std::string& protocol,
-              Reply<Expected<core::Locator>> done) override;
-  void dr_get(const util::Auid& uid, Reply<Expected<core::Content>> done) override;
-  void dr_remove(const util::Auid& uid, Reply<Status> done) override;
-  void dr_put_start(const core::Data& data, Reply<Expected<std::int64_t>> done) override;
-  void dr_put_chunk(const util::Auid& uid, std::int64_t offset, const std::string& bytes,
-                    Reply<Status> done) override;
-  void dr_put_commit(const util::Auid& uid, const std::string& protocol,
-                     Reply<Expected<core::Locator>> done) override;
-  void dr_get_chunk(const util::Auid& uid, std::int64_t offset, std::int64_t max_bytes,
-                    Reply<Expected<std::string>> done) override;
-  void dr_stats(Reply<Expected<services::RepoStats>> done) override;
-  void dt_register(const core::Data& data, const std::string& source,
-                   const std::string& destination, const std::string& protocol,
-                   Reply<Expected<services::TicketId>> done) override;
-  void dt_monitor(services::TicketId ticket, std::int64_t done_bytes,
-                  Reply<Status> done) override;
-  void dt_complete(services::TicketId ticket, const std::string& received_checksum,
-                   const std::string& expected_checksum, Reply<Status> done) override;
-  void dt_failure(services::TicketId ticket, std::int64_t bytes_held, bool can_resume,
-                  Reply<Status> done) override;
-  void dt_give_up(services::TicketId ticket, Reply<Status> done) override;
-  void ds_schedule(const core::Data& data, const core::DataAttributes& attributes,
-                   Reply<Status> done) override;
-  void ds_pin(const util::Auid& uid, const std::string& host, Reply<Status> done) override;
-  void ds_unschedule(const util::Auid& uid, Reply<Status> done) override;
-  void ds_sync(const services::SyncRequest& request,
-               Reply<Expected<services::SyncReply>> done) override;
-  void ds_hosts(Reply<Expected<std::vector<services::HostInfo>>> done) override;
-  void job_submit(const jobs::JobSpec& spec, Reply<Expected<util::Auid>> done) override;
-  void job_status(const util::Auid& job,
-                  Reply<Expected<jobs::JobStatusInfo>> done) override;
-  void job_claim(const util::Auid& task, const std::string& runner,
-                 Reply<Expected<jobs::TaskOrder>> done) override;
-  void job_task_report(const jobs::TaskReport& report, Reply<Status> done) override;
-  void ddc_publish(const std::string& key, const std::string& value,
-                   Reply<Status> done) override;
-  void ddc_search(const std::string& key,
-                  Reply<Expected<std::vector<std::string>>> done) override;
-
-  // Native bulk endpoints: one frame for the whole batch.
-  void dc_register_batch(const std::vector<core::Data>& items, Reply<BatchStatus> done) override;
-  void dc_locators_batch(const std::vector<util::Auid>& uids, Reply<BatchLocators> done) override;
-  void ds_schedule_batch(const std::vector<services::ScheduledData>& items,
-                         Reply<BatchStatus> done) override;
-  void ddc_publish_batch(const std::vector<KeyValue>& pairs, Reply<BatchStatus> done) override;
 
   /// Membership/health snapshot of the connected ring member (kRingInfo).
   /// Errc::kUnavailable when the host is not a ring member.
@@ -138,38 +83,91 @@ class RemoteServiceBus final : public ServiceBus {
   bool connected() const { return channel_.connected(); }
 
  private:
-  /// One pipelined call awaiting its reply: the future plus the decode/
-  /// redirect-chase completion. `body` owns the encoded request so the
-  /// chase can re-send it after the caller's arguments are gone.
+  friend class BusBase<RemoteServiceBus>;
+
+  /// One pipelined call awaiting its reply. `body` is the encoded request,
+  /// kept so a ring redirect can re-send it after the caller's arguments
+  /// are gone; `complete` decodes the reply and fires the caller's callback.
   struct Deferred {
     rpc::ClientChannel::PendingReply reply;
-    std::function<void(Expected<std::string>)> complete;
+    rpc::wire::Endpoint endpoint;
+    std::string body;
+    std::function<void(const Expected<std::string>&)> complete;
   };
+
+  /// One round-trip for endpoint Op. Scalar calls pipeline at depth > 1 and
+  /// chase ring redirects; a batch is one frame, never pipelined or
+  /// redirected, an empty batch sends nothing, and a transport failure
+  /// fails every item.
+  template <typename Op, typename... A>
+  void call(Reply<typename Op::Reply> done, const A&... args) {
+    using R = typename Op::Reply;
+    if constexpr (Op::kBatch) {
+      const std::size_t items = call_items<Op>(args...);
+      if (items == 0) {
+        done({});
+        return;
+      }
+      ++rpcs_;
+      done(decode<R>(Op::endpoint,
+                     channel_.call(Op::endpoint,
+                                   [&](rpc::Writer& w) { rpc::wire::write_fields(w, args...); }),
+                     items));
+    } else {
+      rpc::Writer w;
+      rpc::wire::write_fields(w, args...);
+      std::string body = w.take();
+      if (config_.pipeline_depth <= 1) {
+        done(decode<R>(Op::endpoint, call_routed(Op::endpoint, body)));
+        return;
+      }
+      defer(Op::endpoint, std::move(body),
+            [this, done = std::move(done)](const Expected<std::string>& reply) {
+              done(decode<R>(Op::endpoint, reply));
+            });
+    }
+  }
+
+  /// The reply body as R. A transport failure becomes R's kTransport error
+  /// (one per item for a batch); a body that fails to decode also closes
+  /// the channel and names the endpoint.
+  template <typename R>
+  R decode(rpc::wire::Endpoint endpoint, const Expected<std::string>& reply,
+           std::size_t items = 1) {
+    if (!reply.ok()) return failed<R>(reply.error(), items);
+    try {
+      rpc::Reader r(*reply);
+      R value = rpc::wire::Field<R>::read(r);
+      if (!r.exhausted()) throw rpc::CodecError("trailing bytes in reply");
+      if constexpr (ops::kIsList<R>) {
+        if (value.size() != items) throw rpc::CodecError("reply not index-aligned with request");
+      }
+      return value;
+    } catch (const rpc::CodecError& error) {
+      channel_.close();
+      return failed<R>(Error{Errc::kTransport, "bus",
+                             std::string(rpc::wire::endpoint_name(endpoint)) +
+                                 " reply decode: " + error.what()},
+                       items);
+    }
+  }
 
   /// One call with ring-redirect chasing: a reply whose body is the
   /// uniform error encoding with Errc::kRedirect is retried at the member
   /// named in the error message, through a cached peer channel, up to
   /// max_redirects hops. An unreachable redirect target falls back to the
   /// home member after a brief backoff (stabilization reroutes it).
-  Expected<std::string> call_routed(rpc::wire::Endpoint endpoint,
-                                    const std::function<void(rpc::Writer&)>& encode_body);
+  Expected<std::string> call_routed(rpc::wire::Endpoint endpoint, const std::string& body);
   /// The redirect-chase tail of call_routed, shared with pipelined
   /// completion: takes the home member's reply and follows kRedirect
   /// answers through cached peer channels. `body` is the encoded request.
   Expected<std::string> chase_redirects(rpc::wire::Endpoint endpoint, const std::string& body,
                                         Expected<std::string> reply);
+  /// Puts a pipelined request on the wire now; `complete` runs when pump()
+  /// reaches its reply (after any redirect chase).
+  void defer(rpc::wire::Endpoint endpoint, std::string body,
+             std::function<void(const Expected<std::string>&)> complete);
   rpc::ClientChannel* peer_channel(const std::string& endpoint);
-  /// One round-trip whose reply body is a single Expected<T>; transport
-  /// failures become Error{kTransport} under the same T.
-  template <typename T, typename EncodeBody, typename ReadValue>
-  void invoke(rpc::wire::Endpoint endpoint, EncodeBody&& encode_body, Reply<Expected<T>> done,
-              ReadValue&& read_value);
-
-  /// One round-trip whose reply body is a list; transport failures fill the
-  /// index-aligned reply with one kTransport error per request item.
-  template <typename Item, typename EncodeBody, typename ReadReply>
-  void invoke_batch(rpc::wire::Endpoint endpoint, std::size_t count, EncodeBody&& encode_body,
-                    Reply<std::vector<Item>> done, ReadReply&& read_reply);
 
   RemoteBusConfig config_;
   rpc::ClientChannel channel_;

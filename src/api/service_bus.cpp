@@ -25,46 +25,6 @@ struct BatchJoin {
 
 }  // namespace
 
-void ServiceBus::dc_register_batch(const std::vector<core::Data>& items,
-                                   Reply<BatchStatus> done) {
-  if (items.empty()) {
-    done({});
-    return;
-  }
-  auto join = std::make_shared<BatchJoin<Status>>(items.size(), std::move(done));
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    dc_register(items[i], [join, i](Status status) { join->deliver(i, std::move(status)); });
-  }
-}
-
-void ServiceBus::dc_locators_batch(const std::vector<util::Auid>& uids,
-                                   Reply<BatchLocators> done) {
-  if (uids.empty()) {
-    done({});
-    return;
-  }
-  auto join = std::make_shared<BatchJoin<Expected<std::vector<core::Locator>>>>(
-      uids.size(), std::move(done));
-  for (std::size_t i = 0; i < uids.size(); ++i) {
-    dc_locators(uids[i], [join, i](Expected<std::vector<core::Locator>> locators) {
-      join->deliver(i, std::move(locators));
-    });
-  }
-}
-
-void ServiceBus::ds_schedule_batch(const std::vector<services::ScheduledData>& items,
-                                   Reply<BatchStatus> done) {
-  if (items.empty()) {
-    done({});
-    return;
-  }
-  auto join = std::make_shared<BatchJoin<Status>>(items.size(), std::move(done));
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    ds_schedule(items[i].data, items[i].attributes,
-                [join, i](Status status) { join->deliver(i, std::move(status)); });
-  }
-}
-
 void ServiceBus::ddc_publish_batch(const std::vector<KeyValue>& pairs, Reply<BatchStatus> done) {
   if (pairs.empty()) {
     done({});

@@ -6,6 +6,11 @@
 // synchronous DirectServiceBus (a function call into the container) — the
 // paper's claim that the service back-ends are swappable, made concrete.
 //
+// The three implementations (those two plus RemoteServiceBus over TCP)
+// inherit these methods from api::BusBase (bus_base.hpp), which forwards
+// each to the bus's generic call<Op> for its entry in the bus endpoint list
+// (service_ops.hpp).
+//
 // v2 changes over the seed bus:
 //  * every reply is an Expected<T> (value or Error{code, service, message})
 //    instead of a bare bool — callers learn *why* an operation failed;
@@ -156,13 +161,15 @@ class ServiceBus {
   // One request/response flow and one service event amortized over N items;
   // the reply is index-aligned with the request and reports per-item
   // outcomes. An empty batch is a no-op: the reply fires with an empty
-  // vector and no traffic is generated. The defaults below fan out to the
-  // scalar endpoints (correct for any bus); SimServiceBus and
-  // DirectServiceBus override them with native single-flow implementations.
-  virtual void dc_register_batch(const std::vector<core::Data>& items, Reply<BatchStatus> done);
-  virtual void dc_locators_batch(const std::vector<util::Auid>& uids, Reply<BatchLocators> done);
+  // vector and no traffic is generated.
+  virtual void dc_register_batch(const std::vector<core::Data>& items,
+                                 Reply<BatchStatus> done) = 0;
+  virtual void dc_locators_batch(const std::vector<util::Auid>& uids,
+                                 Reply<BatchLocators> done) = 0;
   virtual void ds_schedule_batch(const std::vector<services::ScheduledData>& items,
-                                 Reply<BatchStatus> done);
+                                 Reply<BatchStatus> done) = 0;
+  /// The default fans out to ddc_publish, one call per pair: SimServiceBus
+  /// takes it over an attached DHT ring, which routes per key.
   virtual void ddc_publish_batch(const std::vector<KeyValue>& pairs, Reply<BatchStatus> done);
 };
 

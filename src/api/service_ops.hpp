@@ -1,17 +1,20 @@
-// The single source of truth for mapping D* service outcomes to the typed
-// error channel. Both ServiceBus implementations route their compute step
-// through these helpers, so an operation fails with the *same* Error::code
-// whether it travelled the simulated network (SimServiceBus) or a function
-// call (DirectServiceBus) — only transport-level kTransport errors are
-// backend-specific.
+// The bus endpoints: one handler per ServiceBus endpoint, mapping D* service
+// outcomes to the typed error channel, and at the bottom the endpoint list
+// that pairs each handler with its wire id. Every bus and ServiceHost run
+// the same handler, so an operation fails with the *same* Error::code
+// whether it travelled the simulated network, a function call or a socket
+// — only transport-level kTransport errors are backend-specific.
 #pragma once
 
 #include <string>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "api/expected.hpp"
 #include "dht/local_dht.hpp"
+#include "rpc/wire.hpp"
 #include "services/container.hpp"
 
 namespace bitdew::api::ops {
@@ -347,5 +350,106 @@ inline std::vector<Status> ddc_publish_batch(
   ddc.put_batch(valid);
   return out;
 }
+
+// --- The bus endpoint list ------------------------------------------------------
+// One entry per ServiceBus endpoint: its wire id and its handler. The
+// request fields are the handler's arguments after the store, the reply is
+// its return type, and both are encoded through rpc::wire::Field. The rest
+// is generated from this list: ServiceHost's route table (rpc/server.cpp)
+// and each bus's call<Op>, reached through the ServiceBus overrides in
+// api/bus_base.hpp.
+
+template <typename T>
+inline constexpr bool kIsList = false;
+template <typename T>
+inline constexpr bool kIsList<std::vector<T>> = true;
+
+template <typename Handler>
+struct Signature;
+
+template <typename R, typename Store, typename... Args>
+struct Signature<R (*)(Store&, Args...)> {
+  using Reply = R;
+  using Target = Store;  ///< the container, or the catalog-local dht::LocalDht
+  using Request = std::tuple<std::decay_t<Args>...>;
+  /// A batch replies index-aligned with its one argument, the item list.
+  static constexpr bool kBatch = kIsList<R>;
+};
+
+template <rpc::wire::Endpoint E, auto Handler>
+struct Op : Signature<decltype(Handler)> {
+  static constexpr rpc::wire::Endpoint endpoint = E;
+
+  /// Runs the handler against the store it takes.
+  template <typename... A>
+  static typename Op::Reply run(services::ServiceContainer& c, dht::LocalDht& ddc,
+                                const A&... args) {
+    if constexpr (std::is_same_v<typename Op::Target, dht::LocalDht>) {
+      return Handler(ddc, args...);
+    } else {
+      return Handler(c, args...);
+    }
+  }
+};
+
+using BusEndpoints = std::tuple<
+    Op<rpc::wire::Endpoint::kDcRegister, &dc_register>,
+    Op<rpc::wire::Endpoint::kDcGet, &dc_get>,
+    Op<rpc::wire::Endpoint::kDcSearch, &dc_search>,
+    Op<rpc::wire::Endpoint::kDcRemove, &dc_remove>,
+    Op<rpc::wire::Endpoint::kDcAddLocator, &dc_add_locator>,
+    Op<rpc::wire::Endpoint::kDcLocators, &dc_locators>,
+    Op<rpc::wire::Endpoint::kDrPut, &dr_put>,
+    Op<rpc::wire::Endpoint::kDrGet, &dr_get>,
+    Op<rpc::wire::Endpoint::kDrRemove, &dr_remove>,
+    Op<rpc::wire::Endpoint::kDtRegister, &dt_register>,
+    Op<rpc::wire::Endpoint::kDtMonitor, &dt_monitor>,
+    Op<rpc::wire::Endpoint::kDtComplete, &dt_complete>,
+    Op<rpc::wire::Endpoint::kDtFailure, &dt_failure>,
+    Op<rpc::wire::Endpoint::kDtGiveUp, &dt_give_up>,
+    Op<rpc::wire::Endpoint::kDsSchedule, &ds_schedule>,
+    Op<rpc::wire::Endpoint::kDsPin, &ds_pin>,
+    Op<rpc::wire::Endpoint::kDsUnschedule, &ds_unschedule>,
+    Op<rpc::wire::Endpoint::kDsSync, &ds_sync>,
+    Op<rpc::wire::Endpoint::kDdcPublish, &ddc_publish>,
+    Op<rpc::wire::Endpoint::kDdcSearch, &ddc_search>,
+    Op<rpc::wire::Endpoint::kDcRegisterBatch, &dc_register_batch>,
+    Op<rpc::wire::Endpoint::kDcLocatorsBatch, &dc_locators_batch>,
+    Op<rpc::wire::Endpoint::kDsScheduleBatch, &ds_schedule_batch>,
+    Op<rpc::wire::Endpoint::kDdcPublishBatch, &ddc_publish_batch>,
+    Op<rpc::wire::Endpoint::kDrPutStart, &dr_put_start>,
+    Op<rpc::wire::Endpoint::kDrPutChunk, &dr_put_chunk>,
+    Op<rpc::wire::Endpoint::kDrPutCommit, &dr_put_commit>,
+    Op<rpc::wire::Endpoint::kDrGetChunk, &dr_get_chunk>,
+    Op<rpc::wire::Endpoint::kDsHosts, &ds_hosts>,
+    Op<rpc::wire::Endpoint::kDrStats, &dr_stats>,
+    Op<rpc::wire::Endpoint::kJobSubmit, &job_submit>,
+    Op<rpc::wire::Endpoint::kJobStatus, &job_status>,
+    Op<rpc::wire::Endpoint::kJobClaim, &job_claim>,
+    Op<rpc::wire::Endpoint::kJobTaskReport, &job_task_report>>;
+
+/// Calls f(Op{}) for every entry of the list.
+template <typename F>
+constexpr void for_each_endpoint(F&& f) {
+  [&]<typename... Ops>(std::type_identity<std::tuple<Ops...>>) {
+    (f(Ops{}), ...);
+  }(std::type_identity<BusEndpoints>{});
+}
+
+template <rpc::wire::Endpoint E>
+consteval std::size_t list_index() {
+  std::size_t index = 0;
+  bool found = false;
+  for_each_endpoint([&](auto op) {
+    found = found || decltype(op)::endpoint == E;
+    if (!found) ++index;
+  });
+  if (!found) throw "not a bus endpoint";
+  return index;
+}
+
+/// The list entry of endpoint E; a build error when E has none.
+template <rpc::wire::Endpoint E>
+using OpAt = std::tuple_element_t<list_index<E>(), BusEndpoints>;
 
 }  // namespace bitdew::api::ops

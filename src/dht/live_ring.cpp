@@ -35,23 +35,6 @@ bool split_endpoint(const std::string& endpoint, std::string& host, std::uint16_
   return true;
 }
 
-/// DKS-style k-ary finger targets (same construction as the simulator): at
-/// each level the remaining span divides by k, with (k-1) pointers per
-/// level, until the span collapses.
-std::vector<std::uint64_t> make_finger_targets(std::uint64_t id, int arity) {
-  std::vector<std::uint64_t> targets;
-  const auto k = static_cast<std::uint64_t>(arity);
-  std::uint64_t span = (~0ULL / k) + 1;
-  while (span > 0) {
-    for (std::uint64_t j = 1; j < k; ++j) {
-      targets.push_back(id + j * span);  // wraps mod 2^64 by design
-    }
-    if (span < k) break;
-    span /= k;
-  }
-  return targets;
-}
-
 }  // namespace
 
 LiveRing::LiveRing(LiveRingConfig config, OpsSource ops_in_range, OpsSink apply_handoff)
@@ -62,8 +45,8 @@ LiveRing::LiveRing(LiveRingConfig config, OpsSource ops_in_range, OpsSink apply_
   assert(config_.replication >= 1);
   self_.endpoint = config_.endpoint;
   self_.id = config_.ring_id != 0 ? config_.ring_id
-                                  : live_ring_hash("ring-node:" + config_.endpoint);
-  finger_targets_ = make_finger_targets(self_.id, config_.arity);
+                                  : ring_hash("ring-node:" + config_.endpoint);
+  finger_targets_ = finger_targets(self_.id, config_.arity);
   fingers_.assign(finger_targets_.size(), wire::RingNode{});
 }
 

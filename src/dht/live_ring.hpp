@@ -27,32 +27,12 @@
 #include <vector>
 
 #include "api/expected.hpp"
+#include "dht/ring_math.hpp"
 #include "rpc/transport.hpp"
 #include "rpc/wire.hpp"
-#include "util/md5.hpp"
 #include "util/thread_annotations.hpp"
 
 namespace bitdew::dht {
-
-/// Hash of a catalog key string to its ring position (identical formula to
-/// the simulator's ring_hash, so sim and live deployments shard alike).
-inline std::uint64_t live_ring_hash(const std::string& key) {
-  return util::Md5::of(key).prefix64();
-}
-
-/// x in (a, b] on the 64-bit ring; (a, a] is the full circle.
-constexpr bool ring_in_half_open(std::uint64_t x, std::uint64_t a, std::uint64_t b) {
-  if (a == b) return true;
-  if (a < b) return x > a && x <= b;
-  return x > a || x <= b;
-}
-
-/// x in (a, b) on the 64-bit ring; (a, a) is everything but a.
-constexpr bool ring_in_open(std::uint64_t x, std::uint64_t a, std::uint64_t b) {
-  if (a == b) return x != a;
-  if (a < b) return x > a && x < b;
-  return x > a || x < b;
-}
 
 struct LiveRingConfig {
   std::uint64_t ring_id = 0;   ///< 0 = derive from the advertised endpoint

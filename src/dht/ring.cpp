@@ -30,38 +30,9 @@ NodeIndex Ring::add_node(net::HostId host) {
   // Ring position: hash of the host name (stable, collision-improbable).
   node.id = ring_hash("dht-node:" + net_.host_name(host) + ":" +
                       std::to_string(nodes_.size()));
-  node.fingers.assign(finger_targets(node.id).size(), kNoNode);
+  node.fingers.assign(finger_targets(node.id, config_.arity).size(), kNoNode);
   nodes_.push_back(std::move(node));
   return static_cast<NodeIndex>(nodes_.size() - 1);
-}
-
-std::vector<std::uint64_t> Ring::finger_targets(std::uint64_t id) const {
-  // DKS-style k-ary intervals: at level l the remaining span is 2^64 / k^l;
-  // keep (k-1) pointers per level until the span collapses.
-  std::vector<std::uint64_t> targets;
-  const auto k = static_cast<std::uint64_t>(config_.arity);
-  // Start with span = 2^64 / k computed without overflowing.
-  std::uint64_t span = (~0ULL / k) + 1;
-  while (span > 0) {
-    for (std::uint64_t j = 1; j < k; ++j) {
-      targets.push_back(id + j * span);  // wraps mod 2^64 by design
-    }
-    if (span < k) break;
-    span /= k;
-  }
-  return targets;
-}
-
-bool Ring::in_half_open(std::uint64_t x, std::uint64_t a, std::uint64_t b) {
-  if (a == b) return true;  // full circle
-  if (a < b) return x > a && x <= b;
-  return x > a || x <= b;
-}
-
-bool Ring::in_open(std::uint64_t x, std::uint64_t a, std::uint64_t b) {
-  if (a == b) return x != a;
-  if (a < b) return x > a && x < b;
-  return x > a || x < b;
 }
 
 void Ring::bootstrap_all() {
@@ -83,7 +54,7 @@ void Ring::bootstrap_all() {
     }
     if (node.successors.empty()) node.successors.push_back(live[i]);
     // Perfect fingers from the oracle membership.
-    const std::vector<std::uint64_t> targets = finger_targets(node.id);
+    const std::vector<std::uint64_t> targets = finger_targets(node.id, config_.arity);
     for (std::size_t t = 0; t < targets.size(); ++t) {
       // First live node clockwise from the target.
       NodeIndex best = live[0];
@@ -153,7 +124,7 @@ NodeIndex Ring::closest_preceding(const Node& node, std::uint64_t key_hash) cons
   auto consider = [&](NodeIndex candidate) {
     if (candidate == kNoNode || !nodes_[candidate].alive) return;
     const std::uint64_t id = nodes_[candidate].id;
-    if (!in_open(id, node.id, key_hash)) return;
+    if (!ring_in_open(id, node.id, key_hash)) return;
     const std::uint64_t distance = key_hash - id;  // clockwise distance to key
     if (distance < best_distance) {
       best_distance = distance;
@@ -235,7 +206,7 @@ void Ring::lookup_step(NodeIndex origin, NodeIndex at, std::uint64_t key_hash, i
 
   // Owner is this node?
   if (node.predecessor != kNoNode && nodes_[node.predecessor].alive &&
-      in_half_open(key_hash, nodes_[node.predecessor].id, node.id)) {
+      ring_in_half_open(key_hash, nodes_[node.predecessor].id, node.id)) {
     reply(at, hops);
     return;
   }
@@ -245,7 +216,7 @@ void Ring::lookup_step(NodeIndex origin, NodeIndex at, std::uint64_t key_hash, i
     return;
   }
   // Owner is the immediate successor?
-  if (in_half_open(key_hash, node.id, nodes_[successor].id)) {
+  if (ring_in_half_open(key_hash, node.id, nodes_[successor].id)) {
     reply(successor, hops);
     return;
   }
@@ -391,7 +362,7 @@ void Ring::join(NodeIndex node, NodeIndex bootstrap, std::function<void(bool)> d
            for (const auto& [hash, keys] : succ.store) {
              const std::uint64_t from_id =
                  succ.predecessor != kNoNode ? nodes_[succ.predecessor].id : succ.id;
-             if (in_half_open(hash, from_id, boundary)) {
+             if (ring_in_half_open(hash, from_id, boundary)) {
                for (const auto& [key, values] : keys) {
                  for (const auto& value : values) moved.push_back({hash, {key, value}});
                }
@@ -401,7 +372,7 @@ void Ring::join(NodeIndex node, NodeIndex bootstrap, std::function<void(bool)> d
              store_pair(nodes_[node], hash, kv.first, kv.second);
            }
            if (succ.predecessor == kNoNode || !nodes_[succ.predecessor].alive ||
-               in_open(nodes_[node].id, nodes_[succ.predecessor].id, succ.id)) {
+               ring_in_open(nodes_[node].id, nodes_[succ.predecessor].id, succ.id)) {
              succ.predecessor = node;
            }
          },
@@ -451,7 +422,7 @@ void Ring::stabilize_node(NodeIndex index) {
                 Node& node = nodes_[index];
                 NodeIndex new_successor = successor;
                 if (between != kNoNode && between != index && nodes_[between].alive &&
-                    in_open(nodes_[between].id, node.id, nodes_[successor].id)) {
+                    ring_in_open(nodes_[between].id, node.id, nodes_[successor].id)) {
                   new_successor = between;
                 }
                 // Rebuild successor list: new successor + its list.
@@ -473,7 +444,7 @@ void Ring::stabilize_node(NodeIndex index) {
                      [this, index, target] {
                        Node& succ = nodes_[target];
                        if (succ.predecessor == kNoNode || !nodes_[succ.predecessor].alive ||
-                           in_open(nodes_[index].id, nodes_[succ.predecessor].id, succ.id)) {
+                           ring_in_open(nodes_[index].id, nodes_[succ.predecessor].id, succ.id)) {
                          succ.predecessor = index;
                        }
                      },
@@ -494,7 +465,7 @@ void Ring::fix_one_finger(NodeIndex index) {
   Node& node = nodes_[index];
   if (node.fingers.empty()) return;
   const std::size_t slot = node.next_finger_to_fix++ % node.fingers.size();
-  const std::uint64_t target = finger_targets(node.id)[slot];
+  const std::uint64_t target = finger_targets(node.id, config_.arity)[slot];
   const std::uint64_t request_id = next_request_id_++;
   ++stats_.lookups;
   pending_lookups_[request_id] = [this, index, slot](LookupResult result) {

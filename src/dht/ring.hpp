@@ -24,20 +24,15 @@
 #include <unordered_map>
 #include <vector>
 
+#include "dht/ring_math.hpp"
 #include "net/network.hpp"
 #include "sim/simulator.hpp"
-#include "util/md5.hpp"
 
 namespace bitdew::dht {
 
 using NodeIndex = std::uint32_t;
 
 inline constexpr NodeIndex kNoNode = 0xffffffffu;
-
-/// Hash of a string key to ring position.
-inline std::uint64_t ring_hash(const std::string& key) {
-  return util::Md5::of(key).prefix64();
-}
 
 struct RingConfig {
   int arity = 4;                   // k: search arity
@@ -122,11 +117,6 @@ class Ring {
     std::map<std::uint64_t, std::map<std::string, std::set<std::string>>> store;
   };
 
-  // in (a, b] on the ring
-  static bool in_half_open(std::uint64_t x, std::uint64_t a, std::uint64_t b);
-  // in (a, b) on the ring
-  static bool in_open(std::uint64_t x, std::uint64_t a, std::uint64_t b);
-
   /// Sends a message from one node's host to another, invoking handler at
   /// the destination after transfer + processing delay. If the destination
   /// is dead, on_lost fires after the rpc timeout.
@@ -143,7 +133,6 @@ class Ring {
   void stabilize_node(NodeIndex index);
   void fix_one_finger(NodeIndex index);
   void rebuild_successor_list(NodeIndex index);
-  std::vector<std::uint64_t> finger_targets(std::uint64_t id) const;
   void finish_lookup(std::uint64_t request_id, LookupResult result);
 
   sim::Simulator& sim_;

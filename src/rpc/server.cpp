@@ -1,7 +1,9 @@
 #include "rpc/server.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "api/service_ops.hpp"
@@ -9,6 +11,71 @@
 
 namespace bitdew::rpc {
 namespace {
+
+using wire::Endpoint;
+
+/// The endpoints ServiceHost answers itself, in ring_dispatch: liveness and
+/// the ring protocol. Every other endpoint is on the bus endpoint list.
+constexpr Endpoint kHostEndpoints[] = {
+    Endpoint::kPing,         Endpoint::kRingLookup, Endpoint::kRingJoin,
+    Endpoint::kRingNotify,   Endpoint::kRingStabilize, Endpoint::kRingStore,
+    Endpoint::kRingLeave,    Endpoint::kRingInfo,   Endpoint::kRingSearch,
+};
+
+constexpr std::size_t kEndpoints = static_cast<std::size_t>(Endpoint::kEndpointCount);
+
+constexpr bool every_endpoint_routed_once() {
+  std::array<int, kEndpoints> routes{};
+  for (const Endpoint endpoint : kHostEndpoints) ++routes[static_cast<std::size_t>(endpoint)];
+  api::ops::for_each_endpoint(
+      [&](auto op) { ++routes[static_cast<std::size_t>(decltype(op)::endpoint)]; });
+  return std::all_of(routes.begin(), routes.end(), [](int count) { return count == 1; });
+}
+
+static_assert(every_endpoint_routed_once(),
+              "every Endpoint needs exactly one route: an entry in the bus endpoint list "
+              "(api/service_ops.hpp) or a ring_dispatch case (kHostEndpoints)");
+
+/// Decodes Op's request, runs its handler and encodes the reply.
+template <typename Op>
+std::string serve(services::ServiceContainer& container, dht::LocalDht& ddc, Reader& r) {
+  Writer w;
+  std::apply(
+      [&](const auto&... args) {
+        wire::Field<typename Op::Reply>::write(w, Op::run(container, ddc, args...));
+      },
+      wire::read_fields(r, std::type_identity<typename Op::Request>{}));
+  return w.take();
+}
+
+/// ds_sync: a body from a different sync-protocol generation (or a
+/// truncated one) gets a typed kRejected reply instead of a dropped
+/// connection — a mixed-version worker fails its beat cleanly and keeps
+/// retrying full syncs until upgraded, rather than flapping its transport.
+std::string serve_sync(services::ServiceContainer& container, dht::LocalDht& ddc, Reader& r) {
+  try {
+    return serve<api::ops::OpAt<Endpoint::kDsSync>>(container, ddc, r);
+  } catch (const CodecError& error) {
+    Writer w;
+    wire::write_expected(w,
+                         api::Expected<services::SyncReply>(
+                             api::Error{api::Errc::kRejected, "ds", error.what()}),
+                         wire::write_sync_reply);
+    return w.take();
+  }
+}
+
+using Route = std::string (*)(services::ServiceContainer&, dht::LocalDht&, Reader&);
+
+/// The bus endpoints' routes, indexed by wire id (null for kHostEndpoints).
+constexpr std::array<Route, kEndpoints> kRoutes = [] {
+  std::array<Route, kEndpoints> routes{};
+  api::ops::for_each_endpoint([&](auto op) {
+    routes[static_cast<std::size_t>(decltype(op)::endpoint)] = &serve<decltype(op)>;
+  });
+  routes[static_cast<std::size_t>(Endpoint::kDsSync)] = &serve_sync;
+  return routes;
+}();
 
 const util::Logger& logger() {
   static const util::Logger instance("servicehost");
@@ -197,11 +264,6 @@ std::optional<ReplyFrame> ServiceHost::handle_frame(std::uint64_t id,
     wire::write_frame_header(w, header);
     w.append_raw(body);
     reply.bytes = w.take();
-    if (header.endpoint == wire::Endpoint::kDrGetChunk) {
-      // Shape OUTSIDE dispatch (the container lock is released): only the
-      // data plane pays the uplink, control replies are never delayed.
-      data_shaper_.consume(static_cast<std::int64_t>(body.size()));
-    }
     return reply;
   } catch (const CodecError& error) {
     logger().debug("connection %llu: malformed frame (%s), dropping",
@@ -253,20 +315,31 @@ std::optional<ReplyFrame> ServiceHost::chunk_reply(const wire::FrameHeader& head
   return reply;
 }
 
-std::string ServiceHost::dispatch(wire::Endpoint endpoint, Reader& r) {
+std::string ServiceHost::dispatch(Endpoint endpoint, Reader& r) {
+  // Ping and ring frames first — handle_join reaches back into the store
+  // through the router's hooks, so they must not run under the container lock.
+  if (auto reply = ring_dispatch(endpoint, r)) return std::move(*reply);
+  // Then hash routing for the keyed catalog plane.
   if (ring_active_.load(std::memory_order_acquire)) {
-    // Ring frames first — handle_join reaches back into the store through
-    // the router's hooks, so they must not run under the container lock.
-    if (auto reply = ring_dispatch(endpoint, r)) return std::move(*reply);
-    // Then hash routing for the keyed catalog plane.
     if (auto reply = router_->route(endpoint, r)) return std::move(*reply);
   }
   return local_dispatch(endpoint, r);
 }
 
-std::optional<std::string> ServiceHost::ring_dispatch(wire::Endpoint endpoint, Reader& r) {
-  using wire::Endpoint;
+std::optional<std::string> ServiceHost::ring_dispatch(Endpoint endpoint, Reader& r) {
+  if (std::find(std::begin(kHostEndpoints), std::end(kHostEndpoints), endpoint) ==
+      std::end(kHostEndpoints)) {
+    return std::nullopt;
+  }
   Writer w;
+  if (endpoint == Endpoint::kPing) return w.take();  // empty reply body: liveness only
+  if (!ring_active_.load(std::memory_order_acquire)) {
+    // Not a ring member. The error-status encoding is a valid prefix of
+    // every reply shape.
+    r.skip(r.remaining());
+    wire::write_status(w, api::Error{api::Errc::kUnavailable, "ring", "ring mode disabled"});
+    return w.take();
+  }
   switch (endpoint) {
     case Endpoint::kRingLookup:
       wire::write_expected(w, api::Expected<wire::RingLookupReply>(ring_->handle_lookup(r.u64())),
@@ -306,237 +379,22 @@ std::optional<std::string> ServiceHost::ring_dispatch(wire::Endpoint endpoint, R
       // kDcSearch through dispatch() would fan out all over again.
       return local_dispatch(Endpoint::kDcSearch, r);
     default:
-      return std::nullopt;
+      break;
   }
   return w.take();
 }
 
-std::string ServiceHost::local_dispatch(wire::Endpoint endpoint, Reader& r) {
+std::string ServiceHost::local_dispatch(Endpoint endpoint, Reader& r) {
   const util::LockGuard lock(container_mutex_);
   return dispatch_unlocked(endpoint, r);
 }
 
-std::string ServiceHost::dispatch_unlocked(wire::Endpoint endpoint, Reader& r) {
-  namespace ops = api::ops;
-  using wire::Endpoint;
-
-  Writer w;
-  switch (endpoint) {
-    case Endpoint::kPing:
-      break;  // empty reply body: liveness only
-
-    // --- Data Catalog --------------------------------------------------------
-    case Endpoint::kDcRegister:
-      wire::write_status(w, ops::dc_register(container_, wire::read_data(r)));
-      break;
-    case Endpoint::kDcGet:
-      wire::write_expected(w, ops::dc_get(container_, wire::read_auid(r)), wire::write_data);
-      break;
-    case Endpoint::kDcSearch:
-      wire::write_expected(w, ops::dc_search(container_, r.str()), wire::write_data_list);
-      break;
-    case Endpoint::kDcRemove:
-      wire::write_status(w, ops::dc_remove(container_, wire::read_auid(r)));
-      break;
-    case Endpoint::kDcAddLocator:
-      wire::write_status(w, ops::dc_add_locator(container_, wire::read_locator(r)));
-      break;
-    case Endpoint::kDcLocators:
-      wire::write_expected(w, ops::dc_locators(container_, wire::read_auid(r)),
-                           wire::write_locator_list);
-      break;
-
-    // --- Data Repository -----------------------------------------------------
-    case Endpoint::kDrPut: {
-      const core::Data data = wire::read_data(r);
-      const core::Content content = wire::read_content(r);
-      const std::string protocol = r.str();
-      wire::write_expected(w, ops::dr_put(container_, data, content, protocol),
-                           wire::write_locator);
-      break;
-    }
-    case Endpoint::kDrGet:
-      wire::write_expected(w, ops::dr_get(container_, wire::read_auid(r)),
-                           wire::write_content);
-      break;
-    case Endpoint::kDrRemove:
-      wire::write_status(w, ops::dr_remove(container_, wire::read_auid(r)));
-      break;
-    case Endpoint::kDrPutStart:
-      wire::write_expected(w, ops::dr_put_start(container_, wire::read_data(r)),
-                           [](Writer& wr, std::int64_t offset) { wr.i64(offset); });
-      break;
-    case Endpoint::kDrPutChunk: {
-      const util::Auid uid = wire::read_auid(r);
-      const std::int64_t offset = r.i64();
-      const std::string bytes = r.str();
-      wire::write_status(w, ops::dr_put_chunk(container_, uid, offset, bytes));
-      break;
-    }
-    case Endpoint::kDrPutCommit: {
-      const util::Auid uid = wire::read_auid(r);
-      const std::string protocol = r.str();
-      wire::write_expected(w, ops::dr_put_commit(container_, uid, protocol),
-                           wire::write_locator);
-      break;
-    }
-    case Endpoint::kDrGetChunk: {
-      // Network traffic takes handle_frame's zero-copy chunk_reply instead;
-      // this arm keeps the endpoint dispatchable for in-process callers.
-      const util::Auid uid = wire::read_auid(r);
-      const std::int64_t offset = r.i64();
-      const std::int64_t max_bytes = r.i64();
-      wire::write_expected(w, ops::dr_get_chunk(container_, uid, offset, max_bytes),
-                           [](Writer& wr, const std::string& bytes) { wr.str(bytes); });
-      break;
-    }
-    case Endpoint::kDrStats:
-      wire::write_expected(w, ops::dr_stats(container_), wire::write_repo_stats);
-      break;
-
-    // --- Data Transfer -------------------------------------------------------
-    case Endpoint::kDtRegister: {
-      const core::Data data = wire::read_data(r);
-      const std::string source = r.str();
-      const std::string destination = r.str();
-      const std::string protocol = r.str();
-      wire::write_expected(w, ops::dt_register(container_, data, source, destination, protocol),
-                           [](Writer& wr, services::TicketId ticket) { wr.u64(ticket); });
-      break;
-    }
-    case Endpoint::kDtMonitor: {
-      const services::TicketId ticket = r.u64();
-      const std::int64_t done_bytes = r.i64();
-      wire::write_status(w, ops::dt_monitor(container_, ticket, done_bytes));
-      break;
-    }
-    case Endpoint::kDtComplete: {
-      const services::TicketId ticket = r.u64();
-      const std::string received = r.str();
-      const std::string expected = r.str();
-      wire::write_status(w, ops::dt_complete(container_, ticket, received, expected));
-      break;
-    }
-    case Endpoint::kDtFailure: {
-      const services::TicketId ticket = r.u64();
-      const std::int64_t bytes_held = r.i64();
-      const bool can_resume = r.boolean();
-      wire::write_status(w, ops::dt_failure(container_, ticket, bytes_held, can_resume));
-      break;
-    }
-    case Endpoint::kDtGiveUp:
-      wire::write_status(w, ops::dt_give_up(container_, r.u64()));
-      break;
-
-    // --- Data Scheduler ------------------------------------------------------
-    case Endpoint::kDsSchedule: {
-      const core::Data data = wire::read_data(r);
-      const core::DataAttributes attributes = wire::read_attributes(r);
-      wire::write_status(w, ops::ds_schedule(container_, data, attributes));
-      break;
-    }
-    case Endpoint::kDsPin: {
-      const util::Auid uid = wire::read_auid(r);
-      const std::string host = r.str();
-      wire::write_status(w, ops::ds_pin(container_, uid, host));
-      break;
-    }
-    case Endpoint::kDsUnschedule:
-      wire::write_status(w, ops::ds_unschedule(container_, wire::read_auid(r)));
-      break;
-    case Endpoint::kDsSync: {
-      // A frame from a different sync-protocol generation (or a truncated
-      // one) gets a typed kRejected reply instead of a dropped connection:
-      // a mixed-version worker fails its beat cleanly and keeps retrying
-      // full syncs until upgraded, rather than flapping its transport.
-      try {
-        const services::SyncRequest request = wire::read_sync_request(r);
-        wire::write_expected(w, ops::ds_sync(container_, request), wire::write_sync_reply);
-      } catch (const CodecError& error) {
-        wire::write_expected(
-            w,
-            api::Expected<services::SyncReply>(
-                api::Error{api::Errc::kRejected, "ds", error.what()}),
-            wire::write_sync_reply);
-      }
-      break;
-    }
-    case Endpoint::kDsHosts:
-      wire::write_expected(w, ops::ds_hosts(container_), wire::write_host_list);
-      break;
-
-    // --- Job service ---------------------------------------------------------
-    case Endpoint::kJobSubmit:
-      wire::write_expected(w, ops::job_submit(container_, wire::read_job_spec(r)),
-                           wire::write_auid);
-      break;
-    case Endpoint::kJobStatus:
-      wire::write_expected(w, ops::job_status(container_, wire::read_auid(r)),
-                           wire::write_job_status_info);
-      break;
-    case Endpoint::kJobClaim: {
-      const util::Auid task = wire::read_auid(r);
-      const std::string runner = r.str();
-      wire::write_expected(w, ops::job_claim(container_, task, runner),
-                           wire::write_task_order);
-      break;
-    }
-    case Endpoint::kJobTaskReport:
-      wire::write_status(w, ops::job_task_report(container_, wire::read_task_report(r)));
-      break;
-
-    // --- Distributed Data Catalog --------------------------------------------
-    case Endpoint::kDdcPublish: {
-      const std::string key = r.str();
-      const std::string value = r.str();
-      wire::write_status(w, ops::ddc_publish(ddc_, key, value));
-      break;
-    }
-    case Endpoint::kDdcSearch:
-      wire::write_expected(w, ops::ddc_search(ddc_, r.str()), wire::write_string_list);
-      break;
-
-    // --- bulk endpoints ------------------------------------------------------
-    case Endpoint::kDcRegisterBatch:
-      wire::write_status_batch(
-          w, ops::dc_register_batch(container_, wire::read_register_batch(r)));
-      break;
-    case Endpoint::kDcLocatorsBatch:
-      wire::write_locators_batch_reply(
-          w, ops::dc_locators_batch(container_, wire::read_locators_batch_request(r)));
-      break;
-    case Endpoint::kDsScheduleBatch: {
-      std::vector<services::ScheduledData> items;
-      for (auto& [data, attributes] : wire::read_schedule_batch(r)) {
-        items.push_back({std::move(data), std::move(attributes)});
-      }
-      wire::write_status_batch(w, ops::ds_schedule_batch(container_, items));
-      break;
-    }
-    case Endpoint::kDdcPublishBatch:
-      wire::write_status_batch(w, ops::ddc_publish_batch(ddc_, wire::read_publish_batch(r)));
-      break;
-
-    // --- live ring ----------------------------------------------------------
-    // Reached only when this host is not a ring member (active rings peel
-    // kRing* off in ring_dispatch before the container lock is taken). The
-    // error-status encoding is a valid prefix of every reply shape.
-    case Endpoint::kRingLookup:
-    case Endpoint::kRingJoin:
-    case Endpoint::kRingNotify:
-    case Endpoint::kRingStabilize:
-    case Endpoint::kRingStore:
-    case Endpoint::kRingLeave:
-    case Endpoint::kRingInfo:
-    case Endpoint::kRingSearch:
-      r.skip(r.remaining());
-      wire::write_status(w, api::Error{api::Errc::kUnavailable, "ring", "ring mode disabled"});
-      break;
-
-    case Endpoint::kEndpointCount:
-      throw CodecError("endpoint sentinel is not dispatchable");
+std::string ServiceHost::dispatch_unlocked(Endpoint endpoint, Reader& r) {
+  const Route route = kRoutes.at(static_cast<std::size_t>(endpoint));
+  if (route == nullptr) {
+    throw CodecError(std::string(wire::endpoint_name(endpoint)) + " is not a bus endpoint");
   }
-  return w.take();
+  return route(container_, ddc_, r);
 }
 
 }  // namespace bitdew::rpc

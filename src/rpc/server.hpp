@@ -9,13 +9,15 @@
 // malformed or truncated frame still produces a typed decode failure and
 // drops only that connection.
 //
-// Dispatch goes through the shared api/service_ops.hpp outcome→Errc
-// mapping — the same helpers DirectServiceBus and SimServiceBus use, so
-// every error code is identical over the network. kDrGetChunk takes a
-// zero-copy fast path: file-backed repository content is answered as a
-// frame header + length prefix plus an fd slice the loop ships with
-// sendfile, never materializing the chunk in a std::string. bitdewd wraps
-// one of these in a daemon; RemoteServiceBus is the matching client.
+// Dispatch is a route table generated from the bus endpoint list in
+// api/service_ops.hpp — the same handlers DirectServiceBus and
+// SimServiceBus run, so every error code is identical over the network.
+// Ping and the ring protocol are answered by the host itself
+// (ring_dispatch). kDrGetChunk takes a zero-copy fast path: file-backed
+// repository content is answered as a frame header + length prefix plus
+// an fd slice the loop ships with sendfile, never materializing the chunk
+// in a std::string. bitdewd wraps one of these in a daemon;
+// RemoteServiceBus is the matching client.
 #pragma once
 
 #include <atomic>
@@ -134,12 +136,13 @@ class ServiceHost {
   /// off first (they take the container lock themselves, through the
   /// router's hooks); everything else falls through to local_dispatch.
   std::string dispatch(wire::Endpoint endpoint, Reader& body);
-  /// Ring server-side frames (kRing*). nullopt = not a ring frame.
+  /// Ping and the ring server-side frames (kRing*), answered without the
+  /// container lock. nullopt = a bus endpoint.
   std::optional<std::string> ring_dispatch(wire::Endpoint endpoint, Reader& body);
   /// Takes the container lock and runs the plain single-node operation.
   std::string local_dispatch(wire::Endpoint endpoint, Reader& body)
       EXCLUDES(container_mutex_);
-  /// The endpoint switch itself.
+  /// Runs a bus endpoint's handler through the route table.
   std::string dispatch_unlocked(wire::Endpoint endpoint, Reader& body)
       REQUIRES(container_mutex_);
 

@@ -217,32 +217,6 @@ api::Status read_status(Reader& r) {
   return error;
 }
 
-namespace {
-
-template <typename T, typename WriteItem>
-void write_list(Writer& w, const std::vector<T>& items, WriteItem write_item) {
-  w.u32(static_cast<std::uint32_t>(items.size()));
-  for (const T& item : items) write_item(w, item);
-}
-
-template <typename T, typename ReadItem>
-std::vector<T> read_list(Reader& r, ReadItem read_item) {
-  const std::uint32_t count = r.u32();
-  // Every encoded item occupies at least one byte, so a count beyond the
-  // remaining bytes is malformed — reject it as a typed decode error
-  // before reserving anything (a garbage count must not OOM the decoder).
-  if (count > r.remaining()) {
-    throw CodecError("list count " + std::to_string(count) + " exceeds remaining " +
-                     std::to_string(r.remaining()) + " bytes");
-  }
-  std::vector<T> out;
-  out.reserve(std::min<std::size_t>(count, 4096));
-  for (std::uint32_t i = 0; i < count; ++i) out.push_back(read_item(r));
-  return out;
-}
-
-}  // namespace
-
 void write_auid_list(Writer& w, const std::vector<util::Auid>& uids) {
   write_list(w, uids, write_auid);
 }
@@ -742,29 +716,10 @@ RingStatusInfo read_ring_status_info(Reader& r) {
   return info;
 }
 
-std::int64_t register_batch_bytes(const std::vector<core::Data>& items) {
-  Writer w;
-  write_register_batch(w, items);
-  return static_cast<std::int64_t>(w.size());
-}
-
-std::int64_t locators_batch_request_bytes(const std::vector<util::Auid>& uids) {
-  Writer w;
-  write_locators_batch_request(w, uids);
-  return static_cast<std::int64_t>(w.size());
-}
-
 std::int64_t schedule_batch_bytes(
     const std::vector<std::pair<core::Data, core::DataAttributes>>& items) {
   Writer w;
   write_schedule_batch(w, items);
-  return static_cast<std::int64_t>(w.size());
-}
-
-std::int64_t publish_batch_bytes(
-    const std::vector<std::pair<std::string, std::string>>& pairs) {
-  Writer w;
-  write_publish_batch(w, pairs);
   return static_cast<std::int64_t>(w.size());
 }
 

@@ -9,6 +9,9 @@
 // every shape.
 #pragma once
 
+#include <algorithm>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -308,6 +311,29 @@ api::Expected<T> read_expected(Reader& r, ReadValue&& read_value) {
   return api::Expected<T>(std::move(error));
 }
 
+// --- lists -------------------------------------------------------------------
+// A u32 count, then the items. read_list rejects a count beyond the bytes
+// left (every item takes at least one), so a garbage count is a typed
+// decode error before anything is reserved.
+template <typename T, typename WriteItem>
+void write_list(Writer& w, const std::vector<T>& items, WriteItem&& write_item) {
+  w.u32(static_cast<std::uint32_t>(items.size()));
+  for (const T& item : items) write_item(w, item);
+}
+
+template <typename T, typename ReadItem>
+std::vector<T> read_list(Reader& r, ReadItem&& read_item) {
+  const std::uint32_t count = r.u32();
+  if (count > r.remaining()) {
+    throw CodecError("list count " + std::to_string(count) + " exceeds remaining " +
+                     std::to_string(r.remaining()) + " bytes");
+  }
+  std::vector<T> out;
+  out.reserve(std::min<std::size_t>(count, 4096));
+  for (std::uint32_t i = 0; i < count; ++i) out.push_back(read_item(r));
+  return out;
+}
+
 // List payloads shared by several scalar replies.
 void write_auid_list(Writer& w, const std::vector<util::Auid>& uids);
 std::vector<util::Auid> read_auid_list(Reader& r);
@@ -346,15 +372,102 @@ void write_status_batch(Writer& w, const std::vector<api::Status>& statuses);
 std::vector<api::Status> read_status_batch(Reader& r);
 
 // --- sizing helpers ----------------------------------------------------------
-// Encoded byte counts, used by SimServiceBus to charge batch RPCs for the
-// bytes they would really occupy.
-std::int64_t register_batch_bytes(const std::vector<core::Data>& items);
-std::int64_t locators_batch_request_bytes(const std::vector<util::Auid>& uids);
 std::int64_t schedule_batch_bytes(
     const std::vector<std::pair<core::Data, core::DataAttributes>>& items);
-std::int64_t publish_batch_bytes(const std::vector<std::pair<std::string, std::string>>& pairs);
 /// Encoded size of a ds_sync request — O(Δ) for delta beats, which is what
 /// the soak bench's bytes-per-beat gate measures.
 std::int64_t sync_request_bytes(const services::SyncRequest& request);
+
+// --- field codec -------------------------------------------------------------
+// Field<T>::write / Field<T>::read encode one T with the shapes above. The
+// bus endpoint list (api/service_ops.hpp) encodes through it: a request
+// body is the handler's arguments in order, a reply body is the handler's
+// return value. Lists, pairs and Expected<T> compose.
+template <typename T>
+struct Field;
+
+template <auto Write, auto Read>
+struct Shape {
+  static constexpr auto write = Write;
+  static constexpr auto read = Read;
+};
+
+template <> struct Field<util::Auid> : Shape<&write_auid, &read_auid> {};
+template <> struct Field<core::Data> : Shape<&write_data, &read_data> {};
+template <> struct Field<core::Locator> : Shape<&write_locator, &read_locator> {};
+template <> struct Field<core::Content> : Shape<&write_content, &read_content> {};
+template <> struct Field<core::DataAttributes> : Shape<&write_attributes, &read_attributes> {};
+template <>
+struct Field<services::ScheduledData> : Shape<&write_scheduled_data, &read_scheduled_data> {};
+template <>
+struct Field<services::SyncRequest> : Shape<&write_sync_request, &read_sync_request> {};
+template <> struct Field<services::SyncReply> : Shape<&write_sync_reply, &read_sync_reply> {};
+template <> struct Field<services::HostInfo> : Shape<&write_host_info, &read_host_info> {};
+template <> struct Field<services::RepoStats> : Shape<&write_repo_stats, &read_repo_stats> {};
+template <> struct Field<jobs::JobSpec> : Shape<&write_job_spec, &read_job_spec> {};
+template <> struct Field<jobs::TaskOrder> : Shape<&write_task_order, &read_task_order> {};
+template <> struct Field<jobs::TaskReport> : Shape<&write_task_report, &read_task_report> {};
+template <>
+struct Field<jobs::JobStatusInfo> : Shape<&write_job_status_info, &read_job_status_info> {};
+template <> struct Field<api::Status> : Shape<&write_status, &read_status> {};
+template <>
+struct Field<RingStatusInfo> : Shape<&write_ring_status_info, &read_ring_status_info> {};
+
+template <> struct Field<std::string> {
+  static void write(Writer& w, const std::string& value) { w.str(value); }
+  static std::string read(Reader& r) { return r.str(); }
+};
+template <> struct Field<std::int64_t> {
+  static void write(Writer& w, std::int64_t value) { w.i64(value); }
+  static std::int64_t read(Reader& r) { return r.i64(); }
+};
+template <> struct Field<std::uint64_t> {
+  static void write(Writer& w, std::uint64_t value) { w.u64(value); }
+  static std::uint64_t read(Reader& r) { return r.u64(); }
+};
+template <> struct Field<bool> {
+  static void write(Writer& w, bool value) { w.boolean(value); }
+  static bool read(Reader& r) { return r.boolean(); }
+};
+
+template <typename A, typename B>
+struct Field<std::pair<A, B>> {
+  static void write(Writer& w, const std::pair<A, B>& value) {
+    Field<A>::write(w, value.first);
+    Field<B>::write(w, value.second);
+  }
+  static std::pair<A, B> read(Reader& r) {
+    A first = Field<A>::read(r);
+    return {std::move(first), Field<B>::read(r)};
+  }
+};
+
+template <typename T>
+struct Field<std::vector<T>> {
+  static void write(Writer& w, const std::vector<T>& items) {
+    write_list(w, items, Field<T>::write);
+  }
+  static std::vector<T> read(Reader& r) { return read_list<T>(r, Field<T>::read); }
+};
+
+template <typename T>
+struct Field<api::Expected<T>> {
+  static void write(Writer& w, const api::Expected<T>& value) {
+    write_expected(w, value, Field<T>::write);
+  }
+  static api::Expected<T> read(Reader& r) { return read_expected<T>(r, Field<T>::read); }
+};
+
+/// Writes `fields` back to back: the request body of a bus endpoint.
+template <typename... T>
+void write_fields(Writer& w, const T&... fields) {
+  (Field<T>::write(w, fields), ...);
+}
+
+/// Reads the fields of a tuple type back to back, left to right.
+template <typename... T>
+std::tuple<T...> read_fields(Reader& r, std::type_identity<std::tuple<T...>>) {
+  return {Field<T>::read(r)...};
+}
 
 }  // namespace bitdew::rpc::wire

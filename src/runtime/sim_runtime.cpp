@@ -18,8 +18,7 @@ SimNode::SimNode(SimRuntime& runtime, net::HostId host)
     : runtime_(runtime),
       host_(host),
       bus_(runtime.simulator(), runtime.network(), host, runtime.service_host(),
-           runtime.container(), runtime.service_queue(), runtime.fallback_ddc_for_bus(),
-           runtime.config().bus),
+           runtime.container(), runtime.service_queue(), runtime.fallback_ddc_for_bus()),
       bitdew_(bus_, runtime.network().host_name(host)),
       active_data_(bus_, runtime.network().host_name(host)),
       tm_(),

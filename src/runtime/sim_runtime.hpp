@@ -35,7 +35,6 @@ struct SimRuntimeConfig {
   double failure_detect_period_s = 1.0;  ///< DS failure-detector sweep
   double service_time_s = 500e-6;        ///< per-RPC service processing
   int max_transfer_attempts = 3;
-  BusConfig bus;
   transfer::FtpConfig ftp;
   transfer::HttpConfig http;
   transfer::BtConfig bt;

@@ -1,413 +1,33 @@
 #include "runtime/sim_service_bus.hpp"
 
-#include "api/service_ops.hpp"
-#include "rpc/wire.hpp"
-
 namespace bitdew::runtime {
-namespace {
 
-using api::Errc;
-using api::Error;
-using api::Expected;
-using api::Status;
+using rpc::wire::Endpoint;
 
-Error transport_error(const char* what) { return Error{Errc::kTransport, "bus", what}; }
-
-/// Transport fallback for a batch: every item reports the same loss.
-api::BatchStatus batch_transport_fallback(std::size_t count) {
-  return api::BatchStatus(count, Status(transport_error("batch flow failed")));
+void SimServiceBus::on_ring(api::ops::OpAt<Endpoint::kDdcPublish>, api::Reply<api::Status> done,
+                            const std::string& key, const std::string& value) {
+  ring_->put(ring_node_, key, value, [done = std::move(done)](bool ok) {
+    done(ok ? api::ok_status()
+            : api::Status(api::Error{api::Errc::kUnavailable, "ddc", "ring put failed"}));
+  });
 }
 
-}  // namespace
-
-template <typename R>
-void SimServiceBus::rpc(std::int64_t extra_request_bytes, std::int64_t extra_response_bytes,
-                        std::function<R(services::ServiceContainer&)> compute, R fallback,
-                        api::Reply<R> done, std::size_t items) {
-  ++rpcs_;
-  const std::int64_t request_bytes =
-      config_.control_traffic ? config_.request_bytes + extra_request_bytes : 0;
-  const std::int64_t response_bytes =
-      config_.control_traffic ? config_.response_bytes + extra_response_bytes : 0;
-
-  net_.start_flow(
-      self_, service_host_, request_bytes,
-      [this, response_bytes, items, compute = std::move(compute),
-       fallback = std::move(fallback),
-       done = std::move(done)](const net::FlowResult& request) mutable {
-        if (!request.ok) {
-          done(std::move(fallback));
-          return;
-        }
-        queue_.submit(
-            [this, response_bytes, compute = std::move(compute),
-             fallback = std::move(fallback), done = std::move(done)]() mutable {
-              R result = compute(container_);
-              net_.start_flow(service_host_, self_, response_bytes,
-                              [result = std::move(result), fallback = std::move(fallback),
-                               done = std::move(done)](const net::FlowResult& response) mutable {
-                                done(response.ok ? std::move(result) : std::move(fallback));
-                              });
-            },
-            items);
-      });
+void SimServiceBus::on_ring(api::ops::OpAt<Endpoint::kDdcSearch>,
+                            api::Reply<api::Expected<std::vector<std::string>>> done,
+                            const std::string& key) {
+  ring_->get(ring_node_, key, [done = std::move(done)](std::vector<std::string> values) {
+    done(std::move(values));
+  });
 }
 
-void SimServiceBus::dc_register(const core::Data& data, api::Reply<Status> done) {
-  rpc<Status>(
-      160, 0, [data](services::ServiceContainer& c) { return api::ops::dc_register(c, data); },
-      transport_error("dc_register flow failed"), std::move(done));
-}
-
-void SimServiceBus::dc_get(const util::Auid& uid, api::Reply<Expected<core::Data>> done) {
-  rpc<Expected<core::Data>>(
-      16, 160, [uid](services::ServiceContainer& c) { return api::ops::dc_get(c, uid); },
-      transport_error("dc_get flow failed"), std::move(done));
-}
-
-void SimServiceBus::dc_search(const std::string& name,
-                              api::Reply<Expected<std::vector<core::Data>>> done) {
-  rpc<Expected<std::vector<core::Data>>>(
-      static_cast<std::int64_t>(name.size()), config_.per_item_bytes,
-      [name](services::ServiceContainer& c) { return api::ops::dc_search(c, name); },
-      transport_error("dc_search flow failed"), std::move(done));
-}
-
-void SimServiceBus::dc_remove(const util::Auid& uid, api::Reply<Status> done) {
-  rpc<Status>(
-      16, 0, [uid](services::ServiceContainer& c) { return api::ops::dc_remove(c, uid); },
-      transport_error("dc_remove flow failed"), std::move(done));
-}
-
-void SimServiceBus::dc_add_locator(const core::Locator& locator, api::Reply<Status> done) {
-  rpc<Status>(
-      128, 0,
-      [locator](services::ServiceContainer& c) { return api::ops::dc_add_locator(c, locator); },
-      transport_error("dc_add_locator flow failed"), std::move(done));
-}
-
-void SimServiceBus::dc_locators(const util::Auid& uid,
-                                api::Reply<Expected<std::vector<core::Locator>>> done) {
-  rpc<Expected<std::vector<core::Locator>>>(
-      16, config_.per_item_bytes,
-      [uid](services::ServiceContainer& c) { return api::ops::dc_locators(c, uid); },
-      transport_error("dc_locators flow failed"), std::move(done));
-}
-
-void SimServiceBus::dr_put(const core::Data& data, const core::Content& content,
-                           const std::string& protocol,
-                           api::Reply<Expected<core::Locator>> done) {
-  // The payload itself travels to the repository host before registration.
-  net_.start_flow(self_, service_host_, content.size,
-                  [this, data, content, protocol,
-                   done = std::move(done)](const net::FlowResult& upload) mutable {
-                    if (!upload.ok) {
-                      done(Error{Errc::kTransport, "dr", "content upload failed"});
-                      return;
-                    }
-                    rpc<Expected<core::Locator>>(
-                        96, 128,
-                        [data, content, protocol](services::ServiceContainer& c) {
-                          return api::ops::dr_put(c, data, content, protocol);
-                        },
-                        transport_error("dr_put flow failed"), std::move(done));
-                  });
-}
-
-void SimServiceBus::dr_get(const util::Auid& uid, api::Reply<Expected<core::Content>> done) {
-  rpc<Expected<core::Content>>(
-      16, 64, [uid](services::ServiceContainer& c) { return api::ops::dr_get(c, uid); },
-      transport_error("dr_get flow failed"), std::move(done));
-}
-
-void SimServiceBus::dr_remove(const util::Auid& uid, api::Reply<Status> done) {
-  rpc<Status>(
-      16, 0, [uid](services::ServiceContainer& c) { return api::ops::dr_remove(c, uid); },
-      transport_error("dr_remove flow failed"), std::move(done));
-}
-
-// Data-plane RPCs: chunk payloads are charged to the simulated network at
-// their real size, so out-of-band content consumes bandwidth exactly like
-// the paper's Fig. 3b/3c accounting expects.
-void SimServiceBus::dr_put_start(const core::Data& data,
-                                 api::Reply<Expected<std::int64_t>> done) {
-  rpc<Expected<std::int64_t>>(
-      176, 8,
-      [data](services::ServiceContainer& c) { return api::ops::dr_put_start(c, data); },
-      transport_error("dr_put_start flow failed"), std::move(done));
-}
-
-void SimServiceBus::dr_put_chunk(const util::Auid& uid, std::int64_t offset,
-                                 const std::string& bytes, api::Reply<Status> done) {
-  rpc<Status>(
-      24 + static_cast<std::int64_t>(bytes.size()), 0,
-      [uid, offset, bytes](services::ServiceContainer& c) {
-        return api::ops::dr_put_chunk(c, uid, offset, bytes);
-      },
-      transport_error("dr_put_chunk flow failed"), std::move(done));
-}
-
-void SimServiceBus::dr_put_commit(const util::Auid& uid, const std::string& protocol,
-                                  api::Reply<Expected<core::Locator>> done) {
-  rpc<Expected<core::Locator>>(
-      16 + static_cast<std::int64_t>(protocol.size()), 128,
-      [uid, protocol](services::ServiceContainer& c) {
-        return api::ops::dr_put_commit(c, uid, protocol);
-      },
-      transport_error("dr_put_commit flow failed"), std::move(done));
-}
-
-void SimServiceBus::dr_get_chunk(const util::Auid& uid, std::int64_t offset,
-                                 std::int64_t max_bytes,
-                                 api::Reply<Expected<std::string>> done) {
-  rpc<Expected<std::string>>(
-      28, max_bytes,
-      [uid, offset, max_bytes](services::ServiceContainer& c) {
-        return api::ops::dr_get_chunk(c, uid, offset, max_bytes);
-      },
-      transport_error("dr_get_chunk flow failed"), std::move(done));
-}
-
-void SimServiceBus::dr_stats(api::Reply<Expected<services::RepoStats>> done) {
-  rpc<Expected<services::RepoStats>>(
-      0, 32, [](services::ServiceContainer& c) { return api::ops::dr_stats(c); },
-      transport_error("dr_stats flow failed"), std::move(done));
-}
-
-void SimServiceBus::dt_register(const core::Data& data, const std::string& source,
-                                const std::string& destination, const std::string& protocol,
-                                api::Reply<Expected<services::TicketId>> done) {
-  rpc<Expected<services::TicketId>>(
-      192, 16,
-      [data, source, destination, protocol](services::ServiceContainer& c) {
-        return api::ops::dt_register(c, data, source, destination, protocol);
-      },
-      transport_error("dt_register flow failed"), std::move(done));
-}
-
-void SimServiceBus::dt_monitor(services::TicketId ticket, std::int64_t done_bytes,
-                               api::Reply<Status> done) {
-  rpc<Status>(
-      24, 0,
-      [ticket, done_bytes](services::ServiceContainer& c) {
-        return api::ops::dt_monitor(c, ticket, done_bytes);
-      },
-      transport_error("dt_monitor flow failed"), std::move(done));
-}
-
-void SimServiceBus::dt_complete(services::TicketId ticket, const std::string& received_checksum,
-                                const std::string& expected_checksum,
-                                api::Reply<Status> done) {
-  rpc<Status>(
-      80, 0,
-      [ticket, received_checksum, expected_checksum](services::ServiceContainer& c) {
-        return api::ops::dt_complete(c, ticket, received_checksum, expected_checksum);
-      },
-      transport_error("dt_complete flow failed"), std::move(done));
-}
-
-void SimServiceBus::dt_failure(services::TicketId ticket, std::int64_t bytes_held,
-                               bool can_resume, api::Reply<Status> done) {
-  rpc<Status>(
-      32, 0,
-      [ticket, bytes_held, can_resume](services::ServiceContainer& c) {
-        return api::ops::dt_failure(c, ticket, bytes_held, can_resume);
-      },
-      transport_error("dt_failure flow failed"), std::move(done));
-}
-
-void SimServiceBus::dt_give_up(services::TicketId ticket, api::Reply<Status> done) {
-  rpc<Status>(
-      16, 0,
-      [ticket](services::ServiceContainer& c) { return api::ops::dt_give_up(c, ticket); },
-      transport_error("dt_give_up flow failed"), std::move(done));
-}
-
-void SimServiceBus::ds_schedule(const core::Data& data, const core::DataAttributes& attributes,
-                                api::Reply<Status> done) {
-  rpc<Status>(
-      224, 0,
-      [data, attributes](services::ServiceContainer& c) {
-        return api::ops::ds_schedule(c, data, attributes);
-      },
-      transport_error("ds_schedule flow failed"), std::move(done));
-}
-
-void SimServiceBus::ds_pin(const util::Auid& uid, const std::string& host,
-                           api::Reply<Status> done) {
-  rpc<Status>(
-      48, 0,
-      [uid, host](services::ServiceContainer& c) { return api::ops::ds_pin(c, uid, host); },
-      transport_error("ds_pin flow failed"), std::move(done));
-}
-
-void SimServiceBus::ds_unschedule(const util::Auid& uid, api::Reply<Status> done) {
-  rpc<Status>(
-      16, 0,
-      [uid](services::ServiceContainer& c) { return api::ops::ds_unschedule(c, uid); },
-      transport_error("ds_unschedule flow failed"), std::move(done));
-}
-
-void SimServiceBus::ds_sync(const services::SyncRequest& request,
-                            api::Reply<Expected<services::SyncReply>> done) {
-  // A delta beat is charged for the delta it actually ships — the O(Δ)
-  // saving of sync protocol v2 shows up in the simulated byte counters.
-  const auto request_bytes =
-      static_cast<std::int64_t>(request.added.size() + request.removed.size() +
-                                request.in_flight.size()) *
-          config_.per_item_bytes +
-      static_cast<std::int64_t>(request.endpoint.size());
-  rpc<Expected<services::SyncReply>>(
-      request_bytes, config_.per_item_bytes,
-      [request](services::ServiceContainer& c) { return api::ops::ds_sync(c, request); },
-      transport_error("ds_sync flow failed"), std::move(done));
-}
-
-void SimServiceBus::ds_hosts(api::Reply<Expected<std::vector<services::HostInfo>>> done) {
-  rpc<Expected<std::vector<services::HostInfo>>>(
-      0, config_.per_item_bytes,
-      [](services::ServiceContainer& c) { return api::ops::ds_hosts(c); },
-      transport_error("ds_hosts flow failed"), std::move(done));
-}
-
-void SimServiceBus::job_submit(const jobs::JobSpec& spec,
-                               api::Reply<Expected<util::Auid>> done) {
-  std::size_t items = spec.inputs.size() + spec.argv.size() + spec.env.size() + 1;
-  rpc<Expected<util::Auid>>(
-      config_.per_item_bytes * static_cast<std::int64_t>(items), 0,
-      [spec](services::ServiceContainer& c) { return api::ops::job_submit(c, spec); },
-      transport_error("job_submit flow failed"), std::move(done), items);
-}
-
-void SimServiceBus::job_status(const util::Auid& job,
-                               api::Reply<Expected<jobs::JobStatusInfo>> done) {
-  rpc<Expected<jobs::JobStatusInfo>>(
-      0, config_.per_item_bytes,
-      [job](services::ServiceContainer& c) { return api::ops::job_status(c, job); },
-      transport_error("job_status flow failed"), std::move(done));
-}
-
-void SimServiceBus::job_claim(const util::Auid& task, const std::string& runner,
-                              api::Reply<Expected<jobs::TaskOrder>> done) {
-  rpc<Expected<jobs::TaskOrder>>(
-      static_cast<std::int64_t>(runner.size()), config_.per_item_bytes,
-      [task, runner](services::ServiceContainer& c) {
-        return api::ops::job_claim(c, task, runner);
-      },
-      transport_error("job_claim flow failed"), std::move(done));
-}
-
-void SimServiceBus::job_task_report(const jobs::TaskReport& report,
-                                    api::Reply<Status> done) {
-  rpc<Status>(
-      config_.per_item_bytes, 0,
-      [report](services::ServiceContainer& c) { return api::ops::job_task_report(c, report); },
-      transport_error("job_task_report flow failed"), std::move(done));
-}
-
-void SimServiceBus::ddc_publish(const std::string& key, const std::string& value,
-                                api::Reply<Status> done) {
-  if (ring_ != nullptr && ring_node_ != dht::kNoNode) {
-    ring_->put(ring_node_, key, value, [done = std::move(done)](bool ok) {
-      done(ok ? api::ok_status()
-              : Status(Error{Errc::kUnavailable, "ddc", "ring put failed"}));
-    });
-    return;
-  }
-  rpc<Status>(
-      static_cast<std::int64_t>(key.size() + value.size()), 0,
-      [this, key, value](services::ServiceContainer&) {
-        return api::ops::ddc_publish(fallback_ddc_, key, value);
-      },
-      transport_error("ddc_publish flow failed"), std::move(done));
-}
-
-void SimServiceBus::ddc_search(const std::string& key,
-                               api::Reply<Expected<std::vector<std::string>>> done) {
-  if (ring_ != nullptr && ring_node_ != dht::kNoNode) {
-    ring_->get(ring_node_, key, [done = std::move(done)](std::vector<std::string> values) {
-      done(std::move(values));
-    });
-    return;
-  }
-  rpc<Expected<std::vector<std::string>>>(
-      static_cast<std::int64_t>(key.size()), config_.per_item_bytes,
-      [this, key](services::ServiceContainer&) {
-        return api::ops::ddc_search(fallback_ddc_, key);
-      },
-      transport_error("ddc_search flow failed"), std::move(done));
-}
-
-// --- bulk endpoints ----------------------------------------------------------
-
-void SimServiceBus::dc_register_batch(const std::vector<core::Data>& items,
-                                      api::Reply<api::BatchStatus> done) {
-  if (items.empty()) {
-    done({});
-    return;
-  }
-  rpc<api::BatchStatus>(
-      rpc::wire::register_batch_bytes(items),
-      static_cast<std::int64_t>(items.size()) * config_.per_item_bytes,
-      [items](services::ServiceContainer& c) { return api::ops::dc_register_batch(c, items); },
-      batch_transport_fallback(items.size()), std::move(done), items.size());
-}
-
-void SimServiceBus::dc_locators_batch(const std::vector<util::Auid>& uids,
-                                      api::Reply<api::BatchLocators> done) {
-  if (uids.empty()) {
-    done({});
-    return;
-  }
-  rpc<api::BatchLocators>(
-      rpc::wire::locators_batch_request_bytes(uids),
-      static_cast<std::int64_t>(uids.size()) * config_.per_item_bytes,
-      [uids](services::ServiceContainer& c) { return api::ops::dc_locators_batch(c, uids); },
-      api::BatchLocators(
-          uids.size(),
-          Expected<std::vector<core::Locator>>(transport_error("batch flow failed"))),
-      std::move(done), uids.size());
-}
-
-void SimServiceBus::ds_schedule_batch(const std::vector<services::ScheduledData>& items,
-                                      api::Reply<api::BatchStatus> done) {
-  if (items.empty()) {
-    done({});
-    return;
-  }
-  std::vector<std::pair<core::Data, core::DataAttributes>> encoded;
-  encoded.reserve(items.size());
-  for (const services::ScheduledData& item : items) {
-    encoded.emplace_back(item.data, item.attributes);
-  }
-  rpc<api::BatchStatus>(
-      rpc::wire::schedule_batch_bytes(encoded),
-      static_cast<std::int64_t>(items.size()) * config_.per_item_bytes,
-      [items](services::ServiceContainer& c) { return api::ops::ds_schedule_batch(c, items); },
-      batch_transport_fallback(items.size()), std::move(done), items.size());
-}
-
-void SimServiceBus::ddc_publish_batch(const std::vector<api::KeyValue>& pairs,
-                                      api::Reply<api::BatchStatus> done) {
-  if (pairs.empty()) {
-    done({});
-    return;
-  }
-  if (ring_ != nullptr && ring_node_ != dht::kNoNode) {
-    // The ring routes per key; fall back to the scalar fan-out.
-    ServiceBus::ddc_publish_batch(pairs, std::move(done));
-    return;
-  }
-  std::vector<std::pair<std::string, std::string>> kvs;
+void SimServiceBus::on_ring(api::ops::OpAt<Endpoint::kDdcPublishBatch>,
+                            api::Reply<api::BatchStatus> done,
+                            const std::vector<std::pair<std::string, std::string>>& pairs) {
+  // The ring routes per key: fan out to the scalar endpoint.
+  std::vector<api::KeyValue> kvs;
   kvs.reserve(pairs.size());
-  for (const api::KeyValue& pair : pairs) kvs.emplace_back(pair.key, pair.value);
-  rpc<api::BatchStatus>(
-      rpc::wire::publish_batch_bytes(kvs),
-      static_cast<std::int64_t>(pairs.size()) * config_.per_item_bytes,
-      [this, kvs](services::ServiceContainer&) {
-        return api::ops::ddc_publish_batch(fallback_ddc_, kvs);
-      },
-      batch_transport_fallback(pairs.size()), std::move(done), pairs.size());
+  for (const auto& [key, value] : pairs) kvs.push_back({key, value});
+  ServiceBus::ddc_publish_batch(kvs, std::move(done));
 }
 
 }  // namespace bitdew::runtime

@@ -42,11 +42,6 @@ std::string encode_status(const api::Status& status) {
   return w.take();
 }
 
-bool is_write_endpoint(Endpoint endpoint) {
-  return endpoint == Endpoint::kDcRegister || endpoint == Endpoint::kDcRemove ||
-         endpoint == Endpoint::kDcAddLocator || endpoint == Endpoint::kDdcPublish;
-}
-
 }  // namespace
 
 RingRouter::RingRouter(ServiceContainer& container, dht::LocalDht& ddc, Hooks hooks)
@@ -62,7 +57,7 @@ void RingRouter::restore_persisted_state() {
   {
     const util::LockGuard lock(index_mutex_);
     for (const std::string& key : keys) {
-      index_[dht::live_ring_hash(key)].insert(key);
+      index_[dht::ring_hash(key)].insert(key);
     }
   }
   if (!keys.empty()) {
@@ -72,12 +67,12 @@ void RingRouter::restore_persisted_state() {
 
 void RingRouter::index_add(const std::string& key) {
   const util::LockGuard lock(index_mutex_);
-  index_[dht::live_ring_hash(key)].insert(key);
+  index_[dht::ring_hash(key)].insert(key);
 }
 
 void RingRouter::index_remove(const std::string& key) {
   const util::LockGuard lock(index_mutex_);
-  const auto it = index_.find(dht::live_ring_hash(key));
+  const auto it = index_.find(dht::ring_hash(key));
   if (it == index_.end()) return;
   it->second.erase(key);
   if (it->second.empty()) index_.erase(it);
@@ -280,7 +275,7 @@ void RingRouter::repair() {
   }
   // Only ranges we own get pushed: replicas are the owner's to maintain.
   std::erase_if(window, [&](const std::string& key) {
-    return !ring_->owns(dht::live_ring_hash(key));
+    return !ring_->owns(dht::ring_hash(key));
   });
   if (window.empty()) return;
   replicate(assemble_ops(window));
@@ -322,7 +317,7 @@ std::optional<std::string> RingRouter::route(Endpoint endpoint, rpc::Reader& r) 
 
 std::optional<std::string> RingRouter::route_keyed(Endpoint endpoint, rpc::Reader& r,
                                                    const std::string& key) {
-  const std::uint64_t hash = dht::live_ring_hash(key);
+  const std::uint64_t hash = dht::ring_hash(key);
   if (!ring_->owns(hash)) {
     const api::Expected<wire::RingNode> owner = ring_->resolve_owner(hash);
     if (!owner.ok()) {
@@ -335,7 +330,7 @@ std::optional<std::string> RingRouter::route_keyed(Endpoint endpoint, rpc::Reade
           api::Error{api::Errc::kRedirect, "ring", owner->endpoint}));
     }
   }
-  const bool is_write = is_write_endpoint(endpoint);
+  const bool is_write = wire::ring_op_endpoint_allowed(endpoint);
   const std::string body(r.rest());
   std::string reply;
   hooks_.with_store([&] {
@@ -402,7 +397,7 @@ std::string RingRouter::register_batch(rpc::Reader& r) {
   std::vector<api::Status> out(items.size(), api::ok_status());
   ScatterPlan plan;
   for (std::size_t i = 0; i < items.size(); ++i) {
-    const std::uint64_t hash = dht::live_ring_hash(dc_key(items[i].uid));
+    const std::uint64_t hash = dht::ring_hash(dc_key(items[i].uid));
     if (ring_->owns(hash)) {
       plan.local.push_back(i);
       continue;
@@ -455,7 +450,7 @@ std::string RingRouter::publish_batch(rpc::Reader& r) {
   std::vector<api::Status> out(pairs.size(), api::ok_status());
   ScatterPlan plan;
   for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const std::uint64_t hash = dht::live_ring_hash(ddc_key(pairs[i].first));
+    const std::uint64_t hash = dht::ring_hash(ddc_key(pairs[i].first));
     if (ring_->owns(hash)) {
       plan.local.push_back(i);
       continue;
@@ -507,7 +502,7 @@ std::string RingRouter::locators_batch(rpc::Reader& r) {
   std::vector<api::Expected<std::vector<core::Locator>>> out;
   out.reserve(uids.size());
   for (const util::Auid& uid : uids) {
-    const std::uint64_t hash = dht::live_ring_hash(dc_key(uid));
+    const std::uint64_t hash = dht::ring_hash(dc_key(uid));
     bool serve_local = ring_->owns(hash);
     wire::RingNode owner;
     if (!serve_local) {

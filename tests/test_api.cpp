@@ -80,8 +80,7 @@ struct SimRig {
         cluster(testbed::make_cluster(net, testbed::ClusterSpec{"gdx", 2})),
         container(net.host_name(cluster.hosts[0]), sim),
         queue(sim, 500e-6),
-        bus(sim, net, cluster.hosts[1], cluster.hosts[0], container, queue, ddc,
-            runtime::BusConfig{}) {}
+        bus(sim, net, cluster.hosts[1], cluster.hosts[0], container, queue, ddc) {}
 
   void settle() { sim.run(); }
   std::uint64_t traffic() const { return bus.rpc_count(); }

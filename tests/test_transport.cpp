@@ -293,63 +293,14 @@ TEST(ServiceHostHardening, FuzzedFramesNeverKillTheServer) {
   EXPECT_TRUE(rig.alive());
 }
 
-/// Every wire endpoint, by wire value. The static_assert ties this table to
-/// the enum: a new endpoint fails the build here until its garbage-body
-/// probe exists, and tools/lint_wire.py checks the same coverage (plus
-/// name/dispatch/codec/docs) textually in CI.
-constexpr rpc::wire::Endpoint kFuzzProbeEndpoints[] = {
-    rpc::wire::Endpoint::kPing,
-    rpc::wire::Endpoint::kDcRegister,
-    rpc::wire::Endpoint::kDcGet,
-    rpc::wire::Endpoint::kDcSearch,
-    rpc::wire::Endpoint::kDcRemove,
-    rpc::wire::Endpoint::kDcAddLocator,
-    rpc::wire::Endpoint::kDcLocators,
-    rpc::wire::Endpoint::kDrPut,
-    rpc::wire::Endpoint::kDrGet,
-    rpc::wire::Endpoint::kDrRemove,
-    rpc::wire::Endpoint::kDtRegister,
-    rpc::wire::Endpoint::kDtMonitor,
-    rpc::wire::Endpoint::kDtComplete,
-    rpc::wire::Endpoint::kDtFailure,
-    rpc::wire::Endpoint::kDtGiveUp,
-    rpc::wire::Endpoint::kDsSchedule,
-    rpc::wire::Endpoint::kDsPin,
-    rpc::wire::Endpoint::kDsUnschedule,
-    rpc::wire::Endpoint::kDsSync,
-    rpc::wire::Endpoint::kDdcPublish,
-    rpc::wire::Endpoint::kDdcSearch,
-    rpc::wire::Endpoint::kDcRegisterBatch,
-    rpc::wire::Endpoint::kDcLocatorsBatch,
-    rpc::wire::Endpoint::kDsScheduleBatch,
-    rpc::wire::Endpoint::kDdcPublishBatch,
-    rpc::wire::Endpoint::kDrPutStart,
-    rpc::wire::Endpoint::kDrPutChunk,
-    rpc::wire::Endpoint::kDrPutCommit,
-    rpc::wire::Endpoint::kDrGetChunk,
-    rpc::wire::Endpoint::kDsHosts,
-    rpc::wire::Endpoint::kDrStats,
-    rpc::wire::Endpoint::kRingLookup,
-    rpc::wire::Endpoint::kRingJoin,
-    rpc::wire::Endpoint::kRingNotify,
-    rpc::wire::Endpoint::kRingStabilize,
-    rpc::wire::Endpoint::kRingStore,
-    rpc::wire::Endpoint::kRingLeave,
-    rpc::wire::Endpoint::kRingInfo,
-    rpc::wire::Endpoint::kRingSearch,
-    rpc::wire::Endpoint::kJobSubmit,
-    rpc::wire::Endpoint::kJobStatus,
-    rpc::wire::Endpoint::kJobClaim,
-    rpc::wire::Endpoint::kJobTaskReport,
-};
-static_assert(std::size(kFuzzProbeEndpoints) ==
-                  static_cast<std::size_t>(rpc::wire::Endpoint::kEndpointCount),
-              "new endpoint: add its garbage-body fuzz probe");
-
 TEST(ServiceHostHardening, EveryEndpointSurvivesGarbageBodies) {
   HostRig rig;
   util::Rng rng(0x5eed);
-  for (const rpc::wire::Endpoint endpoint : kFuzzProbeEndpoints) {
+  // Every wire endpoint, by wire value: a new endpoint is probed the moment
+  // it joins the enum.
+  for (std::uint16_t id = 0; id < static_cast<std::uint16_t>(rpc::wire::Endpoint::kEndpointCount);
+       ++id) {
+    const auto endpoint = static_cast<rpc::wire::Endpoint>(id);
     // A well-formed header for a real endpoint followed by bodies the
     // decoder never agreed to: empty, short, and random bytes. Every
     // outcome must be a typed reply or a dropped connection — the host

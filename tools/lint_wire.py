@@ -1,27 +1,22 @@
 #!/usr/bin/env python3
-"""Wire-invariant linter: every rpc::Endpoint member must be fully wired.
+"""Wire-invariant linter: the checks on rpc::Endpoint the build cannot make.
 
-The wire protocol spreads one endpoint across five places that no compiler
-cross-checks: the enum (wire.hpp), the name table (wire.cpp), the server
-dispatch switch (server.cpp), a client-side codec, and the protocol docs.
-The kEndpointNames static_assert catches a missing *name*, but nothing
-catches a registered endpoint nobody dispatches, nobody can call, nobody
-fuzzes, or nobody documented. This linter closes that gap textually:
+Each bus endpoint is declared once, in the endpoint list of
+src/api/service_ops.hpp, and the build enforces what that list implies:
+src/rpc/server.cpp static_asserts that every Endpoint value has exactly one
+route, and tests/test_transport.cpp fuzzes every id. What no compiler sees
+is checked here textually:
 
-  1. name      -- kEndpointNames (wire.cpp) holds the snake_case literal at
-                  the member's wire index (kDcRegister -> "dc_register")
-  2. dispatch  -- src/rpc/server.cpp has a `case Endpoint::kX:` label
-  3. client    -- some client-side codec file references Endpoint::kX
-  4. fuzz      -- tests/test_transport.cpp lists Endpoint::kX (the
-                  kFuzzProbeEndpoints garbage-body probe table)
-  5. docs      -- docs/api.md has a wire-endpoints table row for the name
-
-Also enforced: wire values are contiguous from 0, kEndpointCount is the
-last member, and the name table matches the naming convention exactly.
+  1. enum  -- wire values are contiguous from 0 and kEndpointCount is the
+              last member (wire.hpp)
+  2. name  -- kEndpointNames (wire.cpp) holds the snake_case literal at the
+              member's wire index (kDcRegister -> "dc_register")
+  3. docs  -- docs/api.md has a wire-endpoints table row for the name
 
 Exit 0 when clean; prints one line per violation and exits 1 otherwise.
 `--self-test` proves the linter still bites: it injects a phantom endpoint
-and asserts every per-endpoint check fails for it.
+and asserts the name and docs checks fail for it, then renumbers a member
+and asserts the contiguity check fails.
 """
 
 from __future__ import annotations
@@ -34,21 +29,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 WIRE_HPP = ROOT / "src" / "rpc" / "wire.hpp"
 WIRE_CPP = ROOT / "src" / "rpc" / "wire.cpp"
-SERVER_CPP = ROOT / "src" / "rpc" / "server.cpp"
-FUZZ_FILE = ROOT / "tests" / "test_transport.cpp"
 DOCS_FILE = ROOT / "docs" / "api.md"
-
-# Files that may legitimately hold an endpoint's client-side codec (the
-# request encoder / reply decoder a caller uses).
-CLIENT_FILES = [
-    ROOT / "src" / "api" / "remote_service_bus.cpp",
-    ROOT / "src" / "dht" / "live_ring.cpp",
-    ROOT / "src" / "services" / "ring_router.cpp",
-    ROOT / "src" / "rpc" / "chunk_server.cpp",
-    ROOT / "src" / "rpc" / "transport.hpp",
-    ROOT / "src" / "transfer" / "chunk_source.cpp",
-    ROOT / "src" / "jobs" / "task_runner.cpp",
-]
 
 SENTINEL = "kEndpointCount"
 
@@ -92,34 +73,14 @@ def lint(sources: dict[str, str]) -> list[str]:
         return errors or ["wire.hpp: no Endpoint members found"]
 
     names = parse_name_table(sources["wire.cpp"])
-    client_blob = "\n".join(sources[f] for f in sources if f.startswith("client:"))
-
     for index, (member, _value) in enumerate(members):
         snake = camel_to_snake(member)
-        ref = re.compile(rf"Endpoint::{member}\b")
-
         if index >= len(names):
             errors.append(f"wire.cpp: kEndpointNames has no entry for {member}")
         elif names[index] != snake:
             errors.append(
                 f'wire.cpp: kEndpointNames[{index}] is "{names[index]}", '
                 f'expected "{snake}" for {member}')
-
-        if not re.search(rf"case Endpoint::{member}:", sources["server.cpp"]):
-            errors.append(
-                f"server.cpp: no dispatch case for {member} "
-                "(ServiceHost cannot serve it)")
-
-        if not ref.search(client_blob):
-            errors.append(
-                f"client codecs: no reference to {member} "
-                f"(no caller can encode it; looked in "
-                f"{', '.join(sorted(f[7:] for f in sources if f.startswith('client:')))})")
-
-        if not ref.search(sources["fuzz"]):
-            errors.append(
-                f"tests/test_transport.cpp: {member} missing from the "
-                "kFuzzProbeEndpoints garbage-body probe table")
 
         if not re.search(rf"\|\s*`{snake}`\s*\|", sources["docs"]):
             errors.append(
@@ -130,20 +91,15 @@ def lint(sources: dict[str, str]) -> list[str]:
 
 
 def load_sources() -> dict[str, str]:
-    sources = {
+    return {
         "wire.hpp": WIRE_HPP.read_text(),
         "wire.cpp": WIRE_CPP.read_text(),
-        "server.cpp": SERVER_CPP.read_text(),
-        "fuzz": FUZZ_FILE.read_text(),
         "docs": DOCS_FILE.read_text(),
     }
-    for path in CLIENT_FILES:
-        sources[f"client:{path.relative_to(ROOT)}"] = path.read_text()
-    return sources
 
 
 def self_test(sources: dict[str, str]) -> int:
-    """Inject a phantom endpoint; the linter must flag all five gaps."""
+    """Inject defects; the linter must flag each one."""
     baseline = lint(sources)
     if baseline:
         print("self-test: tree must be clean first; current violations:")
@@ -151,23 +107,31 @@ def self_test(sources: dict[str, str]) -> int:
             print(f"  {error}")
         return 1
 
-    doctored = dict(sources)
-    doctored["wire.hpp"] = sources["wire.hpp"].replace(
+    members, _ = parse_enum(sources["wire.hpp"])
+    phantom = dict(sources)
+    phantom["wire.hpp"] = sources["wire.hpp"].replace(
         f"  {SENTINEL},",
-        f"  kZzLintSelfTest = {len(parse_enum(sources['wire.hpp'])[0])},"
-        f"\n  {SENTINEL},")
-    errors = lint(doctored)
+        f"  kZzLintSelfTest = {len(members)},\n  {SENTINEL},")
+    errors = lint(phantom)
     hits = [e for e in errors if "ZzLintSelfTest" in e or "zz_lint_self_test" in e]
-    expected = {"wire.cpp:", "server.cpp:", "client codecs:",
-                "tests/test_transport.cpp:", "docs/api.md:"}
+    expected = {"wire.cpp:", "docs/api.md:"}
     seen = {prefix for prefix in expected for e in hits if e.startswith(prefix)}
+
+    last, value = members[-1]
+    renumbered = dict(sources)
+    renumbered["wire.hpp"] = re.sub(
+        rf"\b{last}\s*=\s*{value}\b", f"{last} = {value + 1}", sources["wire.hpp"])
+    if any("contiguous" in e for e in lint(renumbered)):
+        seen.add("wire.hpp:")
+    expected.add("wire.hpp:")
+
     missing = expected - seen
     if missing:
-        print(f"self-test FAILED: phantom endpoint not flagged by: {sorted(missing)}")
+        print(f"self-test FAILED: injected defects not flagged by: {sorted(missing)}")
         for error in errors:
             print(f"  {error}")
         return 1
-    print(f"self-test ok: phantom endpoint tripped all {len(expected)} checks")
+    print(f"self-test ok: injected defects tripped all {len(expected)} checks")
     return 0
 
 
@@ -182,8 +146,8 @@ def main(argv: list[str]) -> int:
             print(f"  {error}")
         return 1
     members, _ = parse_enum(sources["wire.hpp"])
-    print(f"lint_wire: {len(members)} endpoints fully wired "
-          "(name, dispatch, client codec, fuzz probe, docs)")
+    print(f"lint_wire: {len(members)} endpoints consistent "
+          "(contiguous ids, names, docs rows)")
     return 0
 
 
