@@ -17,9 +17,9 @@ using wire::Endpoint;
 /// The endpoints ServiceHost answers itself, in ring_dispatch: liveness and
 /// the ring protocol. Every other endpoint is on the bus endpoint list.
 constexpr Endpoint kHostEndpoints[] = {
-    Endpoint::kPing,         Endpoint::kRingLookup, Endpoint::kRingJoin,
-    Endpoint::kRingNotify,   Endpoint::kRingStabilize, Endpoint::kRingStore,
-    Endpoint::kRingLeave,    Endpoint::kRingInfo,   Endpoint::kRingSearch,
+    Endpoint::kPing,       Endpoint::kRingLookup,    Endpoint::kRingJoin,
+    Endpoint::kRingNotify, Endpoint::kRingStabilize, Endpoint::kRingStore,
+    Endpoint::kRingLeave,  Endpoint::kRingInfo,      Endpoint::kRingSearch,
 };
 
 constexpr std::size_t kEndpoints = static_cast<std::size_t>(Endpoint::kEndpointCount);

@@ -372,6 +372,7 @@ void write_status_batch(Writer& w, const std::vector<api::Status>& statuses);
 std::vector<api::Status> read_status_batch(Reader& r);
 
 // --- sizing helpers ----------------------------------------------------------
+/// Encoded size of a ds_schedule_batch request.
 std::int64_t schedule_batch_bytes(
     const std::vector<std::pair<core::Data, core::DataAttributes>>& items);
 /// Encoded size of a ds_sync request — O(Δ) for delta beats, which is what

@@ -124,15 +124,10 @@ inline Charge charge(At<E::kDcSearch>, const std::string& name) {
   return {bytes_of(name), kPerItemBytes};
 }
 inline Charge charge(At<E::kDcRemove>, const util::Auid&) { return {16, 0}; }
-inline Charge charge(At<E::kDcAddLocator>, const core::Locator&) {
-  return {128, 0};
-}
-inline Charge charge(At<E::kDcLocators>, const util::Auid&) {
-  return {16, kPerItemBytes};
-}
+inline Charge charge(At<E::kDcAddLocator>, const core::Locator&) { return {128, 0}; }
+inline Charge charge(At<E::kDcLocators>, const util::Auid&) { return {16, kPerItemBytes}; }
 /// Envelope only: the content itself crosses first, in dr_put's upload flow.
-inline Charge charge(At<E::kDrPut>, const core::Data&, const core::Content&,
-                     const std::string&) {
+inline Charge charge(At<E::kDrPut>, const core::Data&, const core::Content&, const std::string&) {
   return {96, 128};
 }
 inline Charge charge(At<E::kDrGet>, const util::Auid&) { return {16, 64}; }
@@ -145,41 +140,29 @@ inline Charge charge(At<E::kDrPutChunk>, const util::Auid&, std::int64_t,
                      const std::string& bytes) {
   return {24 + bytes_of(bytes), 0};
 }
-inline Charge charge(At<E::kDrPutCommit>, const util::Auid&,
-                     const std::string& protocol) {
+inline Charge charge(At<E::kDrPutCommit>, const util::Auid&, const std::string& protocol) {
   return {16 + bytes_of(protocol), 128};
 }
-inline Charge charge(At<E::kDrGetChunk>, const util::Auid&, std::int64_t,
-                     std::int64_t max_bytes) {
+inline Charge charge(At<E::kDrGetChunk>, const util::Auid&, std::int64_t, std::int64_t max_bytes) {
   return {28, max_bytes};
 }
 inline Charge charge(At<E::kDrStats>) { return {0, 32}; }
-inline Charge charge(At<E::kDtRegister>, const core::Data&, const std::string&,
-                     const std::string&, const std::string&) {
+inline Charge charge(At<E::kDtRegister>, const core::Data&, const std::string&, const std::string&,
+                     const std::string&) {
   return {192, 16};
 }
-inline Charge charge(At<E::kDtMonitor>, services::TicketId, std::int64_t) {
-  return {24, 0};
-}
-inline Charge charge(At<E::kDtComplete>, services::TicketId,
-                     const std::string&, const std::string&) {
+inline Charge charge(At<E::kDtMonitor>, services::TicketId, std::int64_t) { return {24, 0}; }
+inline Charge charge(At<E::kDtComplete>, services::TicketId, const std::string&,
+                     const std::string&) {
   return {80, 0};
 }
-inline Charge charge(At<E::kDtFailure>, services::TicketId, std::int64_t,
-                     bool) {
-  return {32, 0};
-}
+inline Charge charge(At<E::kDtFailure>, services::TicketId, std::int64_t, bool) { return {32, 0}; }
 inline Charge charge(At<E::kDtGiveUp>, services::TicketId) { return {16, 0}; }
-inline Charge charge(At<E::kDsSchedule>, const core::Data&,
-                     const core::DataAttributes&) {
+inline Charge charge(At<E::kDsSchedule>, const core::Data&, const core::DataAttributes&) {
   return {224, 0};
 }
-inline Charge charge(At<E::kDsPin>, const util::Auid&, const std::string&) {
-  return {48, 0};
-}
-inline Charge charge(At<E::kDsUnschedule>, const util::Auid&) {
-  return {16, 0};
-}
+inline Charge charge(At<E::kDsPin>, const util::Auid&, const std::string&) { return {48, 0}; }
+inline Charge charge(At<E::kDsUnschedule>, const util::Auid&) { return {16, 0}; }
 /// A delta beat is charged for the delta it actually ships — the O(Δ)
 /// saving of sync protocol v2 shows up in the simulated byte counters.
 inline Charge charge(At<E::kDsSync>, const services::SyncRequest& request) {
@@ -193,18 +176,12 @@ inline Charge charge(At<E::kJobSubmit>, const jobs::JobSpec& spec) {
   const std::size_t items = spec.inputs.size() + spec.argv.size() + spec.env.size() + 1;
   return {kPerItemBytes * static_cast<std::int64_t>(items), 0, items};
 }
-inline Charge charge(At<E::kJobStatus>, const util::Auid&) {
-  return {0, kPerItemBytes};
-}
-inline Charge charge(At<E::kJobClaim>, const util::Auid&,
-                     const std::string& runner) {
+inline Charge charge(At<E::kJobStatus>, const util::Auid&) { return {0, kPerItemBytes}; }
+inline Charge charge(At<E::kJobClaim>, const util::Auid&, const std::string& runner) {
   return {bytes_of(runner), kPerItemBytes};
 }
-inline Charge charge(At<E::kJobTaskReport>, const jobs::TaskReport&) {
-  return {kPerItemBytes, 0};
-}
-inline Charge charge(At<E::kDdcPublish>, const std::string& key,
-                     const std::string& value) {
+inline Charge charge(At<E::kJobTaskReport>, const jobs::TaskReport&) { return {kPerItemBytes, 0}; }
+inline Charge charge(At<E::kDdcPublish>, const std::string& key, const std::string& value) {
   return {bytes_of(key) + bytes_of(value), 0};
 }
 inline Charge charge(At<E::kDdcSearch>, const std::string& key) {
