@@ -6,8 +6,18 @@
 // and reseeded uids, and both bodies are compared as hex against the table
 // below. Any change to how an endpoint is encoded, decoded or dispatched
 // shows up here as a byte diff.
+//
+// The script runs twice: against an in-memory container (blob mode) and
+// against a WAL-backed one, whose repository keeps content in files and
+// answers the data plane through its own paths (dr_get_chunk as an fd
+// slice). Both must produce the same bytes, except the dr_stats counters
+// that name the storage mode.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -298,16 +308,24 @@ core::DataAttributes attributes(int replica) {
   return out;
 }
 
-TEST(GoldenFrames, EveryBusEndpointKeepsItsBytes) {
-  util::reseed_auid(0x601d);
-  util::ManualClock clock;
-  services::ServiceContainer container("golden", clock);
-  dht::LocalDht ddc;
+/// What the tap saw for one run of the script, with each call's outcome.
+struct Run {
+  std::vector<Exchange> seen;
+  std::vector<std::string> outcomes;
+};
+
+/// Serves `container` and drives every bus endpoint once through the tap.
+Run run_script(services::ServiceContainer& container) {
   rpc::ServiceHostConfig config;
   config.loopback_only = true;
   config.failure_sweep_period_s = 0;  // no background writer besides the calls
+  dht::LocalDht ddc;
   rpc::ServiceHost host(container, ddc, config);
-  ASSERT_TRUE(host.start().ok());
+  Run run;
+  if (!host.start().ok()) {
+    ADD_FAILURE() << "host did not start";
+    return run;
+  }
   Tap tap(host.port());
   api::RemoteServiceBus bus("127.0.0.1", tap.port(), api::RemoteBusConfig{2.0, 5.0});
 
@@ -321,7 +339,7 @@ TEST(GoldenFrames, EveryBusEndpointKeepsItsBytes) {
 
   // Every reply lands here; the bytes are what the test checks, but a
   // failed script step should say which one.
-  std::vector<std::string> outcomes;
+  std::vector<std::string>& outcomes = run.outcomes;
   const auto note = [&outcomes](const auto& result) {
     outcomes.push_back(result.ok() ? "ok" : result.error().to_string());
   };
@@ -394,22 +412,57 @@ TEST(GoldenFrames, EveryBusEndpointKeepsItsBytes) {
   bus.ddc_search("golden-key", note);
   bus.ddc_publish_batch({{"golden-k2", "v2"}, {"", "v3"}}, note_batch);
   bus.dc_remove(a.uid, note);
-  ASSERT_FALSE(task.is_nil()) << "the sync reply placed no task on golden-host";
+  EXPECT_FALSE(task.is_nil()) << "the sync reply placed no task on golden-host";
 
-  const std::vector<Exchange> seen = tap.exchanges();
-  ASSERT_EQ(seen.size(), std::size(kGolden));
-  for (std::size_t i = 0; i < seen.size(); ++i) {
-    const Exchange& exchange = seen[i];
+  run.seen = tap.exchanges();
+  host.stop();
+  return run;
+}
+
+/// Compares a run with kGolden; `replies` overrides the golden reply of
+/// the endpoints it names.
+void expect_golden(const Run& run, const std::map<std::string, std::string>& replies = {}) {
+  ASSERT_EQ(run.seen.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < run.seen.size(); ++i) {
+    const Exchange& exchange = run.seen[i];
     const Golden& golden = kGolden[i];
-    SCOPED_TRACE(std::string(golden.endpoint) + " (" + outcomes.at(i) + ")");
+    SCOPED_TRACE(std::string(golden.endpoint) + " (" + run.outcomes.at(i) + ")");
     EXPECT_STREQ(wire::endpoint_name(exchange.endpoint), golden.endpoint);
     EXPECT_EQ(hex(exchange.request), golden.request);
     const std::string reply = exchange.endpoint == wire::Endpoint::kDsHosts
                                   ? without_sync_ages(exchange.reply)
                                   : exchange.reply;
-    EXPECT_EQ(hex(reply), golden.reply);
+    const auto override_reply = replies.find(golden.endpoint);
+    EXPECT_EQ(hex(reply), override_reply != replies.end() ? override_reply->second
+                                                          : std::string(golden.reply));
   }
-  host.stop();
+}
+
+TEST(GoldenFrames, EveryBusEndpointKeepsItsBytes) {
+  util::reseed_auid(0x601d);
+  util::ManualClock clock;
+  services::ServiceContainer container("golden", clock);
+  expect_golden(run_script(container));
+}
+
+TEST(GoldenFrames, FileBackedHostAnswersWithTheSameBytes) {
+  // The WAL-backed container stages uploads in `<wal>.content/<uid>.part`
+  // and serves dr_get_chunk as an fd slice. Only the storage-mode counters
+  // of dr_stats differ: the one chunk read is a slice, not a blob copy.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("bitdew-golden-" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    util::reseed_auid(0x601d);
+    util::ManualClock clock;
+    services::ServiceContainer container("golden", clock, (dir / "golden.wal").string());
+    expect_golden(run_script(container),
+                  {{"dr_stats",
+                    "0101000000000000001600000000000000010000000000000008000000000000000000000000"
+                    "0000000100000000000000"}});
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
