@@ -5,10 +5,11 @@
 // in N; FTP grows linearly once the server uplink saturates.
 //
 // `--real` switches to the real data plane (PR 3): an in-process bitdewd
-// (rpc::ServiceHost on loopback) and N concurrent transfer::TcpTransfer
-// streams measuring put/get throughput over actual sockets vs chunk size —
-// the knob docs/deployment.md tells operators to tune. `--mb N` sets the
-// per-stream file size (default 8).
+// (rpc::ServiceHost on loopback over a WAL-backed, file-backed container,
+// as `bitdewd --wal` runs) and N concurrent transfer::TcpTransfer streams
+// measuring put/get throughput over actual sockets vs chunk size — the knob
+// docs/deployment.md tells operators to tune. `--mb N` sets the per-stream
+// file size (default 8).
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -153,19 +154,22 @@ int run_real(int argc, char** argv) {
   const bool full = has_flag(argc, argv, "--full");
   const int mb = int_flag(argc, argv, "--mb", 8);
 
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("bitdew-fig3a-" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+
+  // The daemon's data plane: WAL-backed, so staged and published content
+  // lives in files beside the WAL (bench.wal.content/).
   static util::SystemClock clock;
-  services::ServiceContainer container("bench-dr", clock);
+  services::ServiceContainer container("bench-dr", clock, (dir / "bench.wal").string());
   dht::LocalDht ddc;
   rpc::ServiceHost host(container, ddc, rpc::ServiceHostConfig{0, /*loopback_only=*/true, -1});
   const api::Status started = host.start();
   if (!started.ok()) {
     std::fprintf(stderr, "cannot start host: %s\n", started.error().to_string().c_str());
+    std::filesystem::remove_all(dir);
     return 1;
   }
-
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("bitdew-fig3a-" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
   std::string payload(static_cast<std::size_t>(mb) * 1000 * 1000, '\0');
   util::Rng rng(0xf16a3);
   for (char& byte : payload) byte = static_cast<char>(rng.below(256));
@@ -177,7 +181,8 @@ int run_real(int argc, char** argv) {
                                               : std::vector<int>{1, 4};
 
   header("Figure 3a (real) — put/get throughput over live sockets vs chunk size",
-         "PR 3 data plane: chunked, checksummed transfers to an in-process bitdewd");
+         "real data plane: chunked, checksummed transfers to an in-process, "
+         "file-backed bitdewd");
   std::printf("%-12s %-8s | %14s %14s\n", "chunk", "streams", "put(MB/s)", "get(MB/s)");
   rule();
   JsonEmitter json("fig3a_transfer_real", argc, argv);
@@ -189,6 +194,7 @@ int run_real(int argc, char** argv) {
       json.row({{"chunk_bytes", static_cast<double>(chunk)},
                 {"streams", streams},
                 {"file_mb", mb},
+                {"storage", "file"},
                 {"put_MBps", put_rate},
                 {"get_MBps", get_rate}});
     }

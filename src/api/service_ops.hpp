@@ -135,10 +135,11 @@ inline Expected<std::int64_t> dr_put_start(services::ServiceContainer& c,
   return c.dr().stage_begin(data);
 }
 
-inline Status dr_put_chunk(services::ServiceContainer& c, const util::Auid& uid,
-                           std::int64_t offset, const std::string& bytes) {
-  if (bytes.empty()) return Error{Errc::kInvalidArgument, "dr", "empty chunk"};
-  switch (c.dr().stage_chunk(uid, offset, bytes)) {
+/// dr_put_chunk's reply for a staging outcome. ServiceHost's staging fast
+/// path maps its reserve and advance steps through it too.
+inline Status chunk_status(services::ServiceContainer& c, const util::Auid& uid,
+                           std::int64_t offset, services::ChunkResult result) {
+  switch (result) {
     case services::ChunkResult::kOk:
       return ok_status();
     case services::ChunkResult::kNoStage:
@@ -150,8 +151,15 @@ inline Status dr_put_chunk(services::ServiceContainer& c, const util::Auid& uid,
     case services::ChunkResult::kOversize:
       return Error{Errc::kInvalidArgument, "dr",
                    "chunk exceeds the per-chunk limit or the declared content size"};
+    case services::ChunkResult::kEmpty:
+      return Error{Errc::kInvalidArgument, "dr", "empty chunk"};
   }
   return Error{Errc::kUnavailable, "dr", "unreachable"};
+}
+
+inline Status dr_put_chunk(services::ServiceContainer& c, const util::Auid& uid,
+                           std::int64_t offset, const std::string& bytes) {
+  return chunk_status(c, uid, offset, c.dr().stage_chunk(uid, offset, bytes));
 }
 
 inline Expected<core::Locator> dr_put_commit(services::ServiceContainer& c,

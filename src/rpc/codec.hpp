@@ -66,9 +66,11 @@ class Reader {
   std::int64_t i64() { return scalar<std::int64_t>(); }
   double f64() { return scalar<double>(); }
   bool boolean() { return u8() != 0; }
-  std::string str() {
+  std::string str() { return std::string(str_view()); }
+  /// A length-prefixed string viewed in place: valid while the buffer is.
+  std::string_view str_view() {
     const std::uint32_t size = u32();
-    return std::string(take(size));
+    return take(size);
   }
 
   bool exhausted() const { return offset_ == data_.size(); }

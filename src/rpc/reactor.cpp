@@ -156,11 +156,20 @@ void EpollServer::worker() {
                     static_cast<unsigned long long>(job.first));
       completion.reply = std::nullopt;
     }
+    std::function<void()> then;
+    if (completion.reply.has_value()) then = std::move(completion.reply->then);
     {
       const util::LockGuard lock(completions_mutex_);
       completions_.push_back(std::move(completion));
     }
     wake();
+    if (!then) continue;
+    try {
+      then();  // job.second, the request frame, outlives this call
+    } catch (const std::exception& error) {
+      logger().warn("reply continuation threw (%s) on connection %llu", error.what(),
+                    static_cast<unsigned long long>(job.first));
+    }
   }
 }
 

@@ -44,6 +44,11 @@ struct ReplyFrame {
   Fd file;
   std::int64_t file_offset = 0;
   std::int64_t file_length = 0;
+  /// Work that follows the reply: the worker runs it once the reply is
+  /// handed to the loop, so it overlaps the reply's trip to the client.
+  /// The request frame the handler was given is still alive then, so it
+  /// may read that frame in place. Empty = none.
+  std::function<void()> then;
 
   std::int64_t wire_size() const {
     return static_cast<std::int64_t>(bytes.size()) + (file.valid() ? file_length : 0);
@@ -64,7 +69,8 @@ class EpollServer {
   /// Executes one decoded request frame (header + body, the length prefix
   /// already stripped) and returns the reply frame, or nullopt to drop the
   /// connection (malformed frame, protocol violation). Runs on a worker
-  /// thread: it may block, and it must be thread-safe.
+  /// thread: it may block, and it must be thread-safe. The reply's `then`
+  /// runs on the same worker after the reply is queued.
   using Handler = std::function<std::optional<ReplyFrame>(std::uint64_t connection_id,
                                                           const std::string& frame)>;
 

@@ -248,10 +248,11 @@ std::optional<ReplyFrame> ServiceHost::handle_frame(std::uint64_t id,
   try {
     Reader r(payload);
     const wire::FrameHeader header = wire::read_frame_header(r);
-    if (header.endpoint == wire::Endpoint::kDrGetChunk) {
-      // The data plane is never ring-routed (chunks live where the content
-      // lives), so the zero-copy fast path applies in ring mode too.
-      return chunk_reply(header, r);
+    // The data plane is never ring-routed (chunks live where the content
+    // lives), so its fast paths apply in ring mode too.
+    if (header.endpoint == wire::Endpoint::kDrGetChunk) return chunk_reply(header, r);
+    if (header.endpoint == wire::Endpoint::kDrPutChunk && container_.dr().file_backed()) {
+      return put_chunk_reply(header, r);
     }
     const std::string body = dispatch(header.endpoint, r);
     if (!r.exhausted()) {
@@ -312,6 +313,42 @@ std::optional<ReplyFrame> ServiceHost::chunk_reply(const wire::FrameHeader& head
   }
   reply.bytes = w.take();
   data_shaper_.consume(size);
+  return reply;
+}
+
+std::optional<ReplyFrame> ServiceHost::put_chunk_reply(const wire::FrameHeader& header,
+                                                       Reader& r) {
+  // The chunk is read in place: `bytes` views the request frame, which the
+  // worker keeps alive through the reply's continuation. The reply body is
+  // what serve<dr_put_chunk> would encode.
+  const util::Auid uid = wire::read_auid(r);
+  const std::int64_t offset = r.i64();
+  const std::string_view bytes = r.str_view();
+  if (!r.exhausted()) return std::nullopt;
+
+  services::DataRepository& dr = container_.dr();
+  services::StageSlot slot;
+  api::Status status = [&] {
+    const util::LockGuard lock(container_mutex_);
+    return api::ops::chunk_status(
+        container_, uid, offset,
+        dr.stage_reserve(uid, offset, static_cast<std::int64_t>(bytes.size()), slot));
+  }();
+  if (status.ok()) {
+    dr.stage_write(slot, bytes);
+    const util::LockGuard lock(container_mutex_);
+    status = api::ops::chunk_status(container_, uid, offset, dr.stage_advance(slot, bytes));
+  }
+
+  ReplyFrame reply;
+  Writer w;
+  wire::write_frame_header(w, header);
+  wire::write_status(w, status);
+  reply.bytes = w.take();
+  // kOk: the bytes are in the .part file and the row has advanced. The MD5
+  // follows the reply, so it overlaps the client's next chunk; commit waits
+  // for it.
+  if (status.ok()) reply.then = [&dr, slot, bytes] { dr.stage_hash(slot, bytes); };
   return reply;
 }
 

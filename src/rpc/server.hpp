@@ -13,11 +13,15 @@
 // api/service_ops.hpp — the same handlers DirectServiceBus and
 // SimServiceBus run, so every error code is identical over the network.
 // Ping and the ring protocol are answered by the host itself
-// (ring_dispatch). kDrGetChunk takes a zero-copy fast path: file-backed
-// repository content is answered as a frame header + length prefix plus
-// an fd slice the loop ships with sendfile, never materializing the chunk
-// in a std::string. bitdewd wraps one of these in a daemon;
-// RemoteServiceBus is the matching client.
+// (ring_dispatch). The data plane of a file-backed repository takes two
+// fast paths. kDrGetChunk is zero-copy: content is answered as a frame
+// header + length prefix plus an fd slice the loop ships with sendfile,
+// never materializing the chunk in a std::string. kDrPutChunk holds the
+// container lock only to reserve the chunk's offset and to advance the
+// stage row: the bytes go from the request frame to the upload's .part
+// file under the upload's own lock, and their MD5 runs after the reply.
+// bitdewd wraps one of these in a daemon; RemoteServiceBus is the matching
+// client.
 #pragma once
 
 #include <atomic>
@@ -130,6 +134,11 @@ class ServiceHost {
                                          const std::string& payload);
   /// kDrGetChunk fast path: file-backed content answers as an fd slice.
   std::optional<ReplyFrame> chunk_reply(const wire::FrameHeader& header, Reader& body);
+  /// kDrPutChunk fast path (file-backed repository): stages the chunk with
+  /// the container lock held only around its row steps, and hashes it in
+  /// the reply's continuation.
+  std::optional<ReplyFrame> put_chunk_reply(const wire::FrameHeader& header, Reader& body)
+      EXCLUDES(container_mutex_);
   /// Decodes `body`, runs the operation, and returns the encoded reply
   /// body. Malformed requests throw CodecError (the caller drops the
   /// connection). Layered: ring frames and ring-routed catalog ops peel

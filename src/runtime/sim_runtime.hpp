@@ -31,7 +31,7 @@ class SimRuntime;
 
 struct SimRuntimeConfig {
   services::SchedulerConfig scheduler;   ///< heartbeat 1 s, timeout 3x (paper)
-  double dt_monitor_period_s = 0.5;      ///< DT transfer monitoring (paper)
+  double dt_monitor_period_s = services::kMonitorPeriodS;  ///< DT transfer monitoring
   double failure_detect_period_s = 1.0;  ///< DS failure-detector sweep
   double service_time_s = 500e-6;        ///< per-RPC service processing
   int max_transfer_attempts = 3;

@@ -10,6 +10,7 @@
 #include <variant>
 
 #include "util/md5.hpp"
+#include "util/thread_annotations.hpp"
 
 namespace bitdew::services {
 
@@ -46,7 +47,7 @@ std::optional<std::string> pread_range(int fd, std::int64_t offset, std::int64_t
   return out;
 }
 
-bool pwrite_all(int fd, const std::string& bytes, std::int64_t offset) {
+bool pwrite_all(int fd, std::string_view bytes, std::int64_t offset) {
   std::size_t put = 0;
   while (put < bytes.size()) {
     const ssize_t n = ::pwrite(fd, bytes.data() + put, bytes.size() - put,
@@ -61,6 +62,87 @@ bool pwrite_all(int fd, const std::string& bytes, std::int64_t offset) {
 }
 
 }  // namespace
+
+/// A live file-backed upload: its .part file and the MD5 over the file's
+/// bytes in offset order. `claimed` marks a reserved chunk that has not
+/// advanced yet; like the uploads_ map it is touched only by the row-side
+/// calls. A retired upload stays allocated while slots still hold it.
+class StagedUpload {
+ public:
+  StagedUpload(std::string path, std::int64_t received)
+      : part(std::move(path)), on_disk(received) {}
+
+  /// Writes a chunk into the .part file, which stage_begin created: one
+  /// that vanished mid-upload fails the write instead of being recreated
+  /// with a hole. A retired upload writes nothing.
+  bool write(std::int64_t offset, std::string_view bytes) EXCLUDES(write_mutex) {
+    const util::LockGuard lock(write_mutex);
+    if (!writable) return false;
+    const Fd fd{::open(part.c_str(), O_WRONLY | O_CLOEXEC)};
+    return fd.valid() && pwrite_all(fd.get(), bytes, offset);
+  }
+
+  /// Folds the chunk at `offset` into the MD5 once every chunk before it
+  /// is in: the one before may still be hashing on another thread. The
+  /// wait releases hash_mutex. A retired upload hashes nothing.
+  void hash(std::int64_t offset, std::string_view bytes) EXCLUDES(hash_mutex) {
+    util::UniqueLock lock(hash_mutex);
+    if (live) catch_up();
+    while (live && hashed != offset) hashed_cv.wait(lock);
+    if (!live) return;
+    hasher.update(bytes);
+    hashed += static_cast<std::int64_t>(bytes.size());
+    hashed_cv.notify_all();
+  }
+
+  /// The MD5 of the first `size` bytes, once every chunk below is hashed.
+  std::string digest(std::int64_t size) EXCLUDES(hash_mutex) {
+    util::UniqueLock lock(hash_mutex);
+    catch_up();
+    while (live && hashed < size) hashed_cv.wait(lock);
+    return hasher.finish().hex();
+  }
+
+  /// Stops the upload: waits out a write and a hash in progress, and makes
+  /// every later one a no-op.
+  void retire() EXCLUDES(write_mutex, hash_mutex) {
+    const util::LockGuard writes(write_mutex);
+    const util::LockGuard hashes(hash_mutex);
+    writable = false;
+    live = false;
+    hashed_cv.notify_all();
+  }
+
+  const std::string part;
+  bool claimed = false;
+
+ private:
+  /// Replays the bytes staged before this upload existed (a restart or a
+  /// resumed stage) into the hasher, once. A short read leaves the hasher
+  /// short, which surfaces at commit as a checksum mismatch.
+  void catch_up() REQUIRES(hash_mutex) {
+    if (hashed >= on_disk) return;
+    const Fd fd{::open(part.c_str(), O_RDONLY | O_CLOEXEC)};
+    while (fd.valid() && hashed < on_disk) {
+      const std::int64_t want = std::min<std::int64_t>(on_disk - hashed, 1 << 20);
+      auto bytes = pread_range(fd.get(), hashed, want);
+      if (!bytes.has_value() || bytes->empty()) break;
+      hasher.update(*bytes);
+      hashed += static_cast<std::int64_t>(bytes->size());
+    }
+    hashed = on_disk;
+  }
+
+  util::Mutex write_mutex;
+  bool writable GUARDED_BY(write_mutex) = true;
+
+  util::Mutex hash_mutex ACQUIRED_AFTER(write_mutex);
+  util::CondVar hashed_cv;  ///< signalled when `hashed` grows or the upload retires
+  util::Md5 hasher GUARDED_BY(hash_mutex);
+  std::int64_t hashed GUARDED_BY(hash_mutex) = 0;  ///< bytes the hasher covers
+  const std::int64_t on_disk;  ///< bytes staged before this upload, replayed by catch_up
+  bool live GUARDED_BY(hash_mutex) = true;
+};
 
 DataRepository::DataRepository(db::Database& database, std::string host_name,
                                std::string content_dir)
@@ -159,9 +241,25 @@ bool DataRepository::remove(const util::Auid& uid) {
 
 // --- chunked out-of-band uploads ---------------------------------------------
 
+std::shared_ptr<StagedUpload> DataRepository::live_upload(const std::string& uid_key,
+                                                          std::int64_t received) {
+  std::shared_ptr<StagedUpload>& upload = uploads_[uid_key];
+  if (upload == nullptr) upload = std::make_shared<StagedUpload>(part_path(uid_key), received);
+  return upload;
+}
+
+void DataRepository::retire_upload(const std::string& uid_key) {
+  const auto it = uploads_.find(uid_key);
+  if (it == uploads_.end()) return;
+  it->second->retire();
+  uploads_.erase(it);
+}
+
 std::int64_t DataRepository::stage_begin(const core::Data& data) {
   db::Table* table = database_.table(kStageTable);
   const std::string uid_key = data.uid.str();
+  // Resume or restart alike: chunks reserved before this call land nothing.
+  retire_upload(uid_key);
   if (const auto id = table->by_primary(db::Value{uid_key})) {
     const db::Row& row = *table->get(*id);
     if (db::get_int(row, "size") == data.size &&
@@ -174,11 +272,10 @@ std::int64_t DataRepository::stage_begin(const core::Data& data) {
         std::error_code ec;
         std::filesystem::resize_file(part_path(uid_key),
                                      static_cast<std::uintmax_t>(received), ec);
-        if (ec && received > 0) {
+        if (ec) {
           // .part vanished under a live stage: restart from scratch.
           drop_stage_rows(uid_key, db::get_int(row, "chunks"));
           database_.erase(kStageTable, *id);
-          stage_hashers_.erase(uid_key);
           return stage_begin(data);
         }
       }
@@ -188,10 +285,10 @@ std::int64_t DataRepository::stage_begin(const core::Data& data) {
     drop_stage_rows(uid_key, db::get_int(row, "chunks"));
     database_.erase(kStageTable, *id);
   }
-  stage_hashers_.erase(uid_key);
   if (file_backed()) {
-    std::error_code ec;
-    std::filesystem::remove(part_path(uid_key), ec);
+    // An empty .part for the chunks to land in (and for an empty datum to
+    // commit by renaming).
+    const Fd fd{::open(part_path(uid_key).c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644)};
   }
   db::Row row;
   row["uid"] = uid_key;
@@ -203,62 +300,80 @@ std::int64_t DataRepository::stage_begin(const core::Data& data) {
   return 0;
 }
 
-util::Md5& DataRepository::stage_hasher(const std::string& uid_key, std::int64_t hashed_bytes) {
-  StageHash& entry = stage_hashers_[uid_key];
-  if (entry.hashed == hashed_bytes) return entry.hasher;
-  // Restart (or resync): replay the durable .part bytes through a fresh
-  // hasher. This is the only place the staged content is ever re-read.
-  entry.hasher.reset();
-  entry.hashed = 0;
-  const Fd fd{::open(part_path(uid_key).c_str(), O_RDONLY | O_CLOEXEC)};
-  if (fd.valid()) {
-    std::string buffer;
-    while (entry.hashed < hashed_bytes) {
-      const std::int64_t want = std::min<std::int64_t>(hashed_bytes - entry.hashed, 1 << 20);
-      auto block = pread_range(fd.get(), entry.hashed, want);
-      if (!block.has_value() || block->empty()) break;
-      entry.hasher.update(*block);
-      entry.hashed += static_cast<std::int64_t>(block->size());
-    }
-  }
-  return entry.hasher;
+ChunkResult DataRepository::stage_chunk(const util::Auid& uid, std::int64_t offset,
+                                        std::string_view bytes) {
+  StageSlot slot;
+  ChunkResult result =
+      stage_reserve(uid, offset, static_cast<std::int64_t>(bytes.size()), slot);
+  if (result != ChunkResult::kOk) return result;
+  stage_write(slot, bytes);
+  result = stage_advance(slot, bytes);
+  if (result == ChunkResult::kOk) stage_hash(slot, bytes);
+  return result;
 }
 
-ChunkResult DataRepository::stage_chunk(const util::Auid& uid, std::int64_t offset,
-                                        const std::string& bytes) {
-  if (static_cast<std::int64_t>(bytes.size()) > kMaxChunkBytes) return ChunkResult::kOversize;
-  db::Table* table = database_.table(kStageTable);
+ChunkResult DataRepository::stage_reserve(const util::Auid& uid, std::int64_t offset,
+                                          std::int64_t length, StageSlot& slot) {
+  if (length == 0) return ChunkResult::kEmpty;
+  if (length > kMaxChunkBytes) return ChunkResult::kOversize;
+  const db::Table* table = database_.table(kStageTable);
   const std::string uid_key = uid.str();
   const auto id = table->by_primary(db::Value{uid_key});
   if (!id.has_value()) return ChunkResult::kNoStage;
-  const db::Row stage = *table->get(*id);
+  const db::Row& stage = *table->get(*id);
+  const std::int64_t received = db::get_int(stage, "received");
+  if (offset != received) return ChunkResult::kBadOffset;
+  if (received + length > db::get_int(stage, "size")) return ChunkResult::kOversize;
+  if (file_backed()) {
+    std::shared_ptr<StagedUpload> upload = live_upload(uid_key, received);
+    if (upload->claimed) return ChunkResult::kBadOffset;  // a racing chunk holds it
+    upload->claimed = true;
+    slot.upload = std::move(upload);
+  }
+  slot.uid_key = uid_key;
+  slot.offset = offset;
+  slot.length = length;
+  return ChunkResult::kOk;
+}
+
+void DataRepository::stage_write(StageSlot& slot, std::string_view bytes) {
+  if (slot.upload == nullptr) {
+    slot.written = true;  // blob mode: the bytes go into the chunk row at advance
+    return;
+  }
+  slot.written = slot.upload->write(slot.offset, bytes);  // the bytes never enter the database
+}
+
+ChunkResult DataRepository::stage_advance(StageSlot& slot, std::string_view bytes) {
+  bool current = true;
+  if (slot.upload != nullptr) {
+    const auto live = uploads_.find(slot.uid_key);
+    current = live != uploads_.end() && live->second == slot.upload;
+    if (current) slot.upload->claimed = false;
+  }
+  db::Table* table = database_.table(kStageTable);
+  const auto id = table->by_primary(db::Value{slot.uid_key});
+  if (!id.has_value()) return ChunkResult::kNoStage;
+  if (!current) return ChunkResult::kBadOffset;     // retired since the reserve
+  if (!slot.written) return ChunkResult::kNoStage;  // the .part refused the bytes
+  db::Row stage = *table->get(*id);
   const std::int64_t received = db::get_int(stage, "received");
   const std::int64_t chunks = db::get_int(stage, "chunks");
-  if (offset != received) return ChunkResult::kBadOffset;
-  if (received + static_cast<std::int64_t>(bytes.size()) > db::get_int(stage, "size")) {
-    return ChunkResult::kOversize;
-  }
-
-  if (file_backed()) {
-    // Stream straight to disk: the chunk bytes never enter the database,
-    // and the content MD5 accumulates as they arrive.
-    const Fd fd{::open(part_path(uid_key).c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644)};
-    if (!fd.valid() || !pwrite_all(fd.get(), bytes, offset)) return ChunkResult::kNoStage;
-    util::Md5& hasher = stage_hasher(uid_key, received);
-    hasher.update(bytes);
-    stage_hashers_[uid_key].hashed = received + static_cast<std::int64_t>(bytes.size());
-  } else {
+  if (received != slot.offset) return ChunkResult::kBadOffset;
+  if (!file_backed()) {
     db::Row chunk;
-    chunk["key"] = chunk_key(uid_key, chunks);
-    chunk["bytes"] = bytes;
+    chunk["key"] = chunk_key(slot.uid_key, chunks);
+    chunk["bytes"] = std::string(bytes);
     database_.insert(kChunkTable, std::move(chunk));
   }
-
-  db::Row updated = stage;
-  updated["received"] = received + static_cast<std::int64_t>(bytes.size());
-  updated["chunks"] = chunks + 1;
-  database_.update(kStageTable, *id, std::move(updated));
+  stage["received"] = received + slot.length;
+  stage["chunks"] = chunks + 1;
+  database_.update(kStageTable, *id, std::move(stage));
   return ChunkResult::kOk;
+}
+
+void DataRepository::stage_hash(const StageSlot& slot, std::string_view bytes) {
+  if (slot.upload != nullptr) slot.upload->hash(slot.offset, bytes);
 }
 
 CommitResult DataRepository::stage_commit(const util::Auid& uid, const std::string& protocol,
@@ -275,10 +390,11 @@ CommitResult DataRepository::stage_commit(const util::Auid& uid, const std::stri
   std::string digest;
   std::string content_bytes;  // blob mode only
   if (file_backed()) {
-    // The MD5 already accumulated chunk by chunk (or replays the .part
-    // file once after a restart): commit never materializes the content.
-    digest = stage_hasher(uid_key, size).finish().hex();
-    stage_hashers_.erase(uid_key);
+    // The MD5 accumulated chunk by chunk (or replays the .part file once
+    // after a restart): commit waits for the chunks still hashing and never
+    // materializes the content.
+    digest = live_upload(uid_key, size)->digest(size);
+    retire_upload(uid_key);
   } else {
     // Assemble in arrival order, accumulating the MD5 over the whole content.
     const db::Table* chunk_table = database_.table(kChunkTable);
@@ -307,17 +423,10 @@ CommitResult DataRepository::stage_commit(const util::Auid& uid, const std::stri
     return CommitResult::kChecksumMismatch;
   }
 
-  core::Data data;
-  data.uid = uid;
-  data.size = size;
-  data.checksum = db::get_text(stage, "checksum");
-  const core::Locator locator = put(data, core::Content{data.size, data.checksum}, protocol);
-  if (locator_out != nullptr) *locator_out = locator;
-
-  db::Table* content_table = database_.table(kContentTable);
   db::Row content;
   content["uid"] = uid_key;
   if (file_backed()) {
+    // Bytes first, descriptor after: a failed rename publishes nothing.
     const std::string published = content_path(uid_key);
     std::error_code ec;
     std::filesystem::rename(part_path(uid_key), published, ec);
@@ -326,6 +435,15 @@ CommitResult DataRepository::stage_commit(const util::Auid& uid, const std::stri
   } else {
     content["bytes"] = std::move(content_bytes);
   }
+
+  core::Data data;
+  data.uid = uid;
+  data.size = size;
+  data.checksum = db::get_text(stage, "checksum");
+  const core::Locator locator = put(data, core::Content{data.size, data.checksum}, protocol);
+  if (locator_out != nullptr) *locator_out = locator;
+
+  db::Table* content_table = database_.table(kContentTable);
   if (const auto existing = content_table->by_primary(db::Value{uid_key})) {
     database_.update(kContentTable, *existing, std::move(content));
   } else {
@@ -337,7 +455,7 @@ CommitResult DataRepository::stage_commit(const util::Auid& uid, const std::stri
 void DataRepository::stage_discard(const util::Auid& uid) {
   db::Table* table = database_.table(kStageTable);
   const std::string uid_key = uid.str();
-  stage_hashers_.erase(uid_key);
+  retire_upload(uid_key);
   if (file_backed()) {
     std::error_code ec;
     std::filesystem::remove(part_path(uid_key), ec);

@@ -7,24 +7,35 @@
 //    slot and mints the Locator that the transfer protocols consume (the
 //    simulated runtime stops here — no bytes move);
 //  * the data path (PR 3): chunked out-of-band uploads. stage_begin /
-//    stage_chunk / stage_commit accept a file in fixed-size chunks, persist
-//    every chunk through the WAL-backed Database (so a partial upload
-//    survives a daemon restart and resumes at the returned offset), verify
-//    the assembled bytes' MD5 against the datum's registered checksum at
-//    commit, and only then publish the content for read_bytes() to serve.
+//    stage_chunk / stage_commit accept a file in fixed-size chunks, keep a
+//    partial upload across a daemon restart (it resumes at the returned
+//    offset), verify the assembled bytes' MD5 against the datum's
+//    registered checksum at commit, and only then publish the content for
+//    read_bytes() to serve.
+//
+// A file-backed repository (every WAL-backed container) writes each chunk
+// to `<content_dir>/<uid>.part`; the WAL holds only the upload's stage row
+// (its received-bytes watermark). A chunk is staged in four steps: reserve
+// and advance touch the stage row under the lock that serializes the
+// repository (ServiceHost's container lock); write and hash take only the
+// upload's own locks. A ServiceHost replies once the row has advanced and
+// runs the MD5 after the reply, outside the container lock; commit waits
+// for those hashes. Blob mode (in-memory containers) keeps staged chunks as
+// database rows and hashes them at commit.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "core/data.hpp"
 #include "core/locator.hpp"
 #include "db/database.hpp"
 #include "rpc/chunk_ref.hpp"
-#include "util/md5.hpp"
 
 namespace bitdew::services {
 
@@ -53,12 +64,14 @@ struct RepoStats {
 /// Kept well under rpc::kMaxFrameBytes so a chunk frame always fits.
 inline constexpr std::int64_t kMaxChunkBytes = 8ll << 20;
 
-/// Outcome of stage_chunk().
+/// Outcome of stage_chunk() and of its staging steps.
 enum class ChunkResult {
   kOk = 0,
   kNoStage,    ///< no staged upload for this uid (stage_begin first)
-  kBadOffset,  ///< offset != bytes received so far (resync via stage_begin)
+  kBadOffset,  ///< offset != bytes received so far, another chunk holds that
+               ///< offset, or the upload was restarted (resync via stage_begin)
   kOversize,   ///< chunk exceeds kMaxChunkBytes or overruns the declared size
+  kEmpty,      ///< a chunk carries no bytes
 };
 
 /// Outcome of stage_commit().
@@ -67,6 +80,20 @@ enum class CommitResult {
   kNoStage,           ///< nothing staged for this uid
   kIncomplete,        ///< fewer bytes staged than the declared size
   kChecksumMismatch,  ///< assembled MD5 differs from the registered checksum
+};
+
+/// The per-upload state of a file-backed stage (data_repository.cpp).
+class StagedUpload;
+
+/// One chunk admitted by DataRepository::stage_reserve(): where it lands
+/// and the upload it belongs to. The caller carries it through the other
+/// three staging steps.
+struct StageSlot {
+  std::string uid_key;
+  std::int64_t offset = 0;
+  std::int64_t length = 0;
+  std::shared_ptr<StagedUpload> upload;  ///< null in blob mode
+  bool written = false;                  ///< stage_write() landed the bytes
 };
 
 class DataRepository {
@@ -103,13 +130,38 @@ class DataRepository {
   /// A stage whose declared size/checksum no longer match `data` is reset.
   std::int64_t stage_begin(const core::Data& data);
 
-  /// Appends one chunk at `offset` (must equal the bytes received so far).
-  ChunkResult stage_chunk(const util::Auid& uid, std::int64_t offset, const std::string& bytes);
+  /// Appends one chunk at `offset` (must equal the bytes received so far):
+  /// the four staging steps below, in order.
+  ChunkResult stage_chunk(const util::Auid& uid, std::int64_t offset, std::string_view bytes);
+
+  // The staging steps. reserve and advance read and write the stage row:
+  // call them under the lock that serializes this repository. write and
+  // hash take only the upload's own locks (never the caller's), so they
+  // may run outside it. Only a slot whose advance returned kOk is hashed.
+  //
+  // stage_begin, stage_discard, remove and commit retire an upload's
+  // state: a slot reserved before that lands nothing and cannot advance.
+
+  /// Step 1: admits `length` bytes at `offset` and claims the offset until
+  /// the slot's advance, so a second chunk at the same offset is refused.
+  ChunkResult stage_reserve(const util::Auid& uid, std::int64_t offset, std::int64_t length,
+                            StageSlot& slot);
+  /// Step 2: writes the bytes to the upload's .part file under the
+  /// upload's write lock. Blob mode stores them at advance instead.
+  void stage_write(StageSlot& slot, std::string_view bytes);
+  /// Step 3: releases the claim and moves the stage row past the chunk.
+  /// kOk means the bytes are staged; the chunk's MD5 may still be pending.
+  ChunkResult stage_advance(StageSlot& slot, std::string_view bytes);
+  /// Step 4: folds the chunk into the upload's MD5, in offset order: waits
+  /// for the chunks before it, holding neither the caller's lock nor the
+  /// write lock. No-op in blob mode (commit hashes the chunk rows).
+  void stage_hash(const StageSlot& slot, std::string_view bytes);
 
   /// Verifies the staged bytes' MD5 against the checksum declared at
-  /// stage_begin and, on success, publishes them (descriptor + content blob,
-  /// locator minted with `protocol`). The stage is consumed either way: a
-  /// mismatch discards the staged bytes so the next put starts clean.
+  /// stage_begin (waiting for any pending stage_hash first) and, on
+  /// success, publishes them (descriptor + content, locator minted with
+  /// `protocol`). The stage is consumed either way: a mismatch discards the
+  /// staged bytes so the next put starts clean.
   CommitResult stage_commit(const util::Auid& uid, const std::string& protocol,
                             core::Locator* locator_out = nullptr);
 
@@ -143,28 +195,28 @@ class DataRepository {
   /// Serving counters + store size (the dr_stats endpoint's back-end).
   RepoStats stats() const;
   const std::string& host_name() const { return host_; }
+  /// Content in `<content_dir>/` files rather than database blobs. Fixed at
+  /// construction.
+  bool file_backed() const { return !content_dir_.empty(); }
 
  private:
   void drop_stage_rows(const std::string& uid_key, std::int64_t chunk_count);
-  bool file_backed() const { return !content_dir_.empty(); }
   std::string content_path(const std::string& uid_key) const;
   std::string part_path(const std::string& uid_key) const;
-  /// The streaming stage hasher for `uid_key`, positioned at `hashed_bytes`.
-  /// Rebuilt from the .part file after a restart (the hasher itself is
-  /// soft state; the bytes on disk are the durable record).
-  util::Md5& stage_hasher(const std::string& uid_key, std::int64_t hashed_bytes);
+  /// The live upload of `uid_key`; a new one when there is none, whose
+  /// .part file already holds `received` staged bytes.
+  std::shared_ptr<StagedUpload> live_upload(const std::string& uid_key, std::int64_t received);
+  /// Retires the live upload of `uid_key`, if any: waits out its write and
+  /// hash in progress, and later ones land nothing.
+  void retire_upload(const std::string& uid_key);
 
   db::Database& database_;
   std::string host_;
   std::string content_dir_;  ///< empty = blob mode
-  /// In-flight upload hashers: MD5 accumulates as chunks arrive instead of
-  /// re-reading the whole content at commit. Keyed by uid, tagged with the
-  /// byte count hashed so far (stage resets/resumes invalidate cleanly).
-  struct StageHash {
-    util::Md5 hasher;
-    std::int64_t hashed = 0;
-  };
-  std::unordered_map<std::string, StageHash> stage_hashers_;
+  /// Live file-backed uploads by uid. Soft state: an upload's MD5 is
+  /// rebuilt from its .part file after a restart. Touched only by the
+  /// row-side calls, under the lock that serializes the repository.
+  std::unordered_map<std::string, std::shared_ptr<StagedUpload>> uploads_;
   // Counted in const read paths from concurrent ServiceHost workers.
   mutable std::atomic<std::uint64_t> chunk_reads_{0};
   mutable std::atomic<std::int64_t> chunk_read_bytes_{0};

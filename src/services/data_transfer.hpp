@@ -18,6 +18,11 @@ namespace bitdew::services {
 
 using TicketId = std::uint64_t;
 
+/// The DT service's monitoring period: a transfer reports its progress
+/// (monitor()) at most this often — the 500 ms of the paper's overhead
+/// experiment.
+inline constexpr double kMonitorPeriodS = 0.5;
+
 enum class TransferState { kActive, kDone, kFailed };
 
 struct Ticket {
@@ -52,7 +57,7 @@ class DataTransfer {
                              const std::string& destination, const std::string& protocol);
 
   /// Receiver-driven progress poll; also refreshes the monitoring timestamp
-  /// (the 500 ms heartbeat in the paper's overhead experiment).
+  /// (one poll per kMonitorPeriodS).
   void monitor(TicketId id, std::int64_t done_bytes);
 
   /// Receiver reports completion with the checksum of what it received.

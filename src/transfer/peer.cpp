@@ -11,6 +11,7 @@
 #include "rpc/transport.hpp"
 #include "services/data_repository.hpp"
 #include "transfer/chunk_source.hpp"
+#include "transfer/progress.hpp"
 #include "util/log.hpp"
 #include "util/md5.hpp"
 
@@ -96,6 +97,7 @@ Status PeerTransfer::get_file(const core::Data& data, const std::string& path,
   }
 
   const std::string part = path + ".part";
+  ProgressReport progress(bus_, ticket);
   Status outcome = ok_status();
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
     if (attempt > 0) {
@@ -104,7 +106,7 @@ Status PeerTransfer::get_file(const core::Data& data, const std::string& path,
       // another chance this round (its channel reconnects on the next call).
       for (Source& peer : peers) peer.dead = false;
     }
-    outcome = get_round(data, part, peers, ticket);
+    outcome = get_round(data, part, peers, progress);
     if (!retryable(outcome)) break;
   }
   if (outcome.ok()) {
@@ -126,7 +128,7 @@ Status PeerTransfer::get_file(const core::Data& data, const std::string& path,
 }
 
 Status PeerTransfer::get_round(const core::Data& data, const std::string& part,
-                               std::vector<Source>& peers, services::TicketId ticket) {
+                               std::vector<Source>& peers, ProgressReport& progress) {
   // Resume from whatever prefix of the .part file survived, re-hashing it
   // so the final MD5 covers every byte on disk (same policy as TcpTransfer).
   std::int64_t offset = 0;
@@ -216,7 +218,7 @@ Status PeerTransfer::get_round(const core::Data& data, const std::string& part,
       stats_.bytes_from_repository += got;
       ++stats_.chunks_from_repository;
     }
-    if (ticket != 0) bus_.dt_monitor(ticket, offset, [](Status) {});
+    progress.update(offset);
   }
   out.close();
   if (!out.good()) return Error{Errc::kUnavailable, "p2p", "flush failed for " + part};

@@ -36,6 +36,8 @@
 
 namespace bitdew::transfer {
 
+class ProgressReport;
+
 /// Protocol-registry name; matches services::kPeerLocatorProtocol.
 inline constexpr const char* kPeerProtocol = "p2p";
 
@@ -79,7 +81,7 @@ class PeerTransfer {
   struct Source;
 
   api::Status get_round(const core::Data& data, const std::string& part,
-                        std::vector<Source>& peers, services::TicketId ticket);
+                        std::vector<Source>& peers, ProgressReport& progress);
 
   api::ServiceBus& bus_;
   PeerConfig config_;

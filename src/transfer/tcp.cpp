@@ -8,6 +8,7 @@
 
 #include "services/data_repository.hpp"
 #include "transfer/chunk_source.hpp"
+#include "transfer/progress.hpp"
 #include "util/md5.hpp"
 
 namespace bitdew::transfer {
@@ -59,11 +60,6 @@ services::TicketId TcpTransfer::open_ticket(const core::Data& data, bool upload)
   return ticket.ok() ? *ticket : 0;
 }
 
-void TcpTransfer::report_progress(services::TicketId ticket, std::int64_t done_bytes) {
-  if (ticket == 0) return;
-  bus_.dt_monitor(ticket, done_bytes, [](Status) {});  // fire and forget
-}
-
 void TcpTransfer::close_ticket(services::TicketId ticket, const core::Data& data,
                                const Status& outcome) {
   if (ticket == 0) return;
@@ -95,11 +91,12 @@ Status TcpTransfer::put_file(const core::Data& data, const std::string& path) {
 
 Status TcpTransfer::upload(const core::Data& data, const std::string& path) {
   const services::TicketId ticket = open_ticket(data, /*upload=*/true);
+  ProgressReport progress(bus_, ticket);
   core::Locator locator;
   Status outcome = ok_status();
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
     if (attempt > 0) ++stats_.retries;
-    outcome = put_round(data, path, ticket, &locator);
+    outcome = put_round(data, path, progress, &locator);
     if (!retryable(outcome)) break;
   }
 
@@ -114,7 +111,7 @@ Status TcpTransfer::upload(const core::Data& data, const std::string& path) {
 }
 
 Status TcpTransfer::put_round(const core::Data& data, const std::string& path,
-                              services::TicketId ticket, core::Locator* locator_out) {
+                              ProgressReport& progress, core::Locator* locator_out) {
   const Expected<std::int64_t> start = wait<std::int64_t>(
       [&](api::Reply<Expected<std::int64_t>> done) { bus_.dr_put_start(data, std::move(done)); });
   if (!start.ok()) return Status(start.error());
@@ -140,7 +137,7 @@ Status TcpTransfer::put_round(const core::Data& data, const std::string& path,
     offset += want;
     stats_.bytes_sent += want;
     ++stats_.chunks_sent;
-    report_progress(ticket, offset);
+    progress.update(offset);
   }
 
   const Expected<core::Locator> committed =
@@ -161,10 +158,11 @@ Status TcpTransfer::get_file(const core::Data& data, const std::string& path) {
   }
   const std::string part = path + ".part";
   const services::TicketId ticket = open_ticket(data, /*upload=*/false);
+  ProgressReport progress(bus_, ticket);
   Status outcome = ok_status();
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
     if (attempt > 0) ++stats_.retries;
-    outcome = get_round(data, part, ticket);
+    outcome = get_round(data, part, progress);
     if (!retryable(outcome)) break;
   }
   if (outcome.ok()) {
@@ -177,7 +175,7 @@ Status TcpTransfer::get_file(const core::Data& data, const std::string& path) {
 }
 
 Status TcpTransfer::get_round(const core::Data& data, const std::string& part,
-                              services::TicketId ticket) {
+                              ProgressReport& progress) {
   // Resume from whatever prefix of the .part file survived, re-hashing it
   // so the final MD5 covers every byte on disk, not just this round's.
   std::int64_t offset = 0;
@@ -202,11 +200,13 @@ Status TcpTransfer::get_round(const core::Data& data, const std::string& part,
   std::ofstream out(part, offset > 0 ? std::ios::binary | std::ios::app : std::ios::binary);
   if (!out) return Error{Errc::kInvalidArgument, "tcp", "cannot write " + part};
 
-  // Depth-2 prefetch through the shared ChunkSource read API: chunk N+1 is
-  // issued before chunk N is consumed, so over a pipelined RemoteServiceBus
-  // the next chunk crosses the wire while this one is hashed and written.
-  // Reads are idempotent, so in-flight overlap is safe (uploads stay
-  // strictly sequential — the repository's stage offset is stateful).
+  // Chunk N+1 is issued through the shared ChunkSource read API before
+  // chunk N is consumed. Over a bus with pipeline depth > 1 (a caller's
+  // RemoteServiceBus::set_pipeline_depth; Session leaves it at 1) the next
+  // chunk then crosses the wire while this one is hashed and written; at
+  // depth 1 the fetch completes before it returns. Reads are idempotent,
+  // so in-flight overlap is safe (uploads stay strictly sequential — the
+  // repository's stage offset is stateful).
   BusChunkSource source(bus_, pump_);
   ChunkFetch next;
   std::int64_t next_offset = 0;
@@ -239,7 +239,7 @@ Status TcpTransfer::get_round(const core::Data& data, const std::string& part,
     offset += static_cast<std::int64_t>(chunk->size());
     stats_.bytes_received += static_cast<std::int64_t>(chunk->size());
     ++stats_.chunks_received;
-    report_progress(ticket, offset);
+    progress.update(offset);
   }
   out.close();
   if (!out.good()) return Error{Errc::kUnavailable, "tcp", "flush failed for " + part};

@@ -12,9 +12,9 @@
 //    (Errc::kChecksumMismatch), and get_file re-hashes every received byte
 //    before renaming `.part` into place;
 //  * each transfer is registered with the Data Transfer service (a ticket,
-//    progress via dt_monitor, dt_complete/dt_failure at the end), so the
-//    control plane observes the out-of-band transfer exactly as the paper's
-//    Fig. 1 describes.
+//    progress via dt_monitor at most once per the DT monitoring period,
+//    dt_complete/dt_failure at the end), so the control plane observes the
+//    out-of-band transfer exactly as the paper's Fig. 1 describes.
 //
 // Over RemoteServiceBus the chunks travel as frames on a real TCP
 // connection; over Direct/SimServiceBus they land in the in-process
@@ -30,6 +30,8 @@
 #include "core/data.hpp"
 
 namespace bitdew::transfer {
+
+class ProgressReport;
 
 /// Protocol-registry name locators minted by this engine carry.
 inline constexpr const char* kTcpProtocol = "tcp";
@@ -84,14 +86,13 @@ class TcpTransfer {
   api::Expected<T> wait(std::function<void(api::Reply<api::Expected<T>>)> issue);
 
   api::Status put_round(const core::Data& data, const std::string& path,
-                        services::TicketId ticket, core::Locator* locator_out);
+                        ProgressReport& progress, core::Locator* locator_out);
   api::Status get_round(const core::Data& data, const std::string& part_path,
-                        services::TicketId ticket);
+                        ProgressReport& progress);
 
   /// DT-service bookkeeping; all failures are ignored (the data path must
   /// not depend on control-plane health).
   services::TicketId open_ticket(const core::Data& data, bool upload);
-  void report_progress(services::TicketId ticket, std::int64_t done_bytes);
   void close_ticket(services::TicketId ticket, const core::Data& data,
                     const api::Status& outcome);
 

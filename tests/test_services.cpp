@@ -11,6 +11,7 @@
 #include "core/attributes.hpp"
 #include "services/container.hpp"
 #include "util/clock.hpp"
+#include "util/md5.hpp"
 
 namespace bitdew {
 namespace {
@@ -123,6 +124,114 @@ TEST(Repository, PutGetRemove) {
   EXPECT_TRUE(repository.remove(data.uid));
   EXPECT_FALSE(repository.remove(data.uid));
   EXPECT_FALSE(repository.get(data.uid).has_value());
+}
+
+/// A file-backed repository in a fresh temp dir, with one datum whose
+/// content is `bytes`.
+struct FileBackedRepository {
+  explicit FileBackedRepository(const std::string& bytes)
+      : dir(std::filesystem::temp_directory_path() /
+            ("bitdew-repo-" + std::to_string(::getpid()) + "-" + util::next_auid().str())),
+        repository(database, "server1", (dir / "content").string()) {
+    data.uid = util::next_auid();
+    data.name = "staged";
+    data.size = static_cast<std::int64_t>(bytes.size());
+    data.checksum = util::Md5::of(bytes).hex();
+  }
+  ~FileBackedRepository() { std::filesystem::remove_all(dir); }
+
+  std::filesystem::path part() const { return dir / "content" / (data.uid.str() + ".part"); }
+
+  std::filesystem::path dir;
+  db::Database database;
+  services::DataRepository repository;
+  Data data;
+};
+
+TEST(Repository, FailedCommitRenamePublishesNothing) {
+  // The staged bytes vanish before commit: the rename into the published
+  // path fails, and no descriptor may be published without its bytes.
+  const std::string bytes(1000, 'x');
+  FileBackedRepository fixture(bytes);
+  services::DataRepository& repository = fixture.repository;
+  ASSERT_EQ(repository.stage_begin(fixture.data), 0);
+  ASSERT_EQ(repository.stage_chunk(fixture.data.uid, 0, bytes), services::ChunkResult::kOk);
+  ASSERT_TRUE(std::filesystem::remove(fixture.part()));
+
+  EXPECT_EQ(repository.stage_commit(fixture.data.uid, "tcp"), services::CommitResult::kNoStage);
+  EXPECT_FALSE(repository.exists(fixture.data.uid));
+  EXPECT_FALSE(repository.has_bytes(fixture.data.uid));
+  EXPECT_EQ(repository.stored_bytes(), 0);
+  EXPECT_EQ(repository.object_count(), 0u);
+}
+
+TEST(Repository, EmptyUploadCommitsInFileMode) {
+  FileBackedRepository fixture("");
+  services::DataRepository& repository = fixture.repository;
+  ASSERT_EQ(repository.stage_begin(fixture.data), 0);
+  EXPECT_EQ(repository.stage_commit(fixture.data.uid, "tcp"), services::CommitResult::kOk);
+  EXPECT_TRUE(repository.has_bytes(fixture.data.uid));
+  EXPECT_EQ(repository.read_bytes(fixture.data.uid, 0, 16), "");
+}
+
+TEST(Repository, StaleChunkAfterResumeChangesNothing) {
+  // A chunk reserved before a resume (its sender's connection died and the
+  // retry called stage_begin) must neither advance the row nor reach the
+  // hasher, whether its bytes landed before the resume or come after it.
+  std::string bytes(3000, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<char>(i * 37 + 11);
+  FileBackedRepository fixture(bytes);
+  services::DataRepository& repository = fixture.repository;
+  const util::Auid uid = fixture.data.uid;
+  const std::string stray(1000, '!');
+  ASSERT_EQ(repository.stage_begin(fixture.data), 0);
+  ASSERT_EQ(repository.stage_chunk(uid, 0, bytes.substr(0, 1000)), services::ChunkResult::kOk);
+
+  // Written before the resume: the resume truncates the bytes away.
+  services::StageSlot landed;
+  ASSERT_EQ(repository.stage_reserve(uid, 1000, 1000, landed), services::ChunkResult::kOk);
+  repository.stage_write(landed, stray);
+  EXPECT_TRUE(landed.written);
+  ASSERT_EQ(repository.stage_begin(fixture.data), 1000);
+  EXPECT_EQ(repository.stage_advance(landed, stray), services::ChunkResult::kBadOffset);
+  repository.stage_hash(landed, stray);  // its upload is retired: returns at once
+  EXPECT_EQ(repository.stage_received(uid), 1000);
+  EXPECT_EQ(std::filesystem::file_size(fixture.part()), 1000u);
+
+  // Written after the resume: nothing lands.
+  services::StageSlot late;
+  ASSERT_EQ(repository.stage_reserve(uid, 1000, 1000, late), services::ChunkResult::kOk);
+  ASSERT_EQ(repository.stage_begin(fixture.data), 1000);
+  repository.stage_write(late, stray);
+  EXPECT_FALSE(late.written);
+  EXPECT_EQ(repository.stage_advance(late, stray), services::ChunkResult::kBadOffset);
+  repository.stage_hash(late, stray);
+  EXPECT_EQ(std::filesystem::file_size(fixture.part()), 1000u);
+
+  // The resumed upload re-hashes the staged prefix from the .part file and
+  // commits the real bytes.
+  ASSERT_EQ(repository.stage_chunk(uid, 1000, bytes.substr(1000, 1000)),
+            services::ChunkResult::kOk);
+  ASSERT_EQ(repository.stage_chunk(uid, 2000, bytes.substr(2000)), services::ChunkResult::kOk);
+  ASSERT_EQ(repository.stage_commit(uid, "tcp"), services::CommitResult::kOk);
+  EXPECT_EQ(repository.read_bytes(uid, 0, 3000), bytes);
+}
+
+TEST(Repository, SecondChunkAtAClaimedOffsetIsRefused) {
+  const std::string bytes(2000, 'y');
+  FileBackedRepository fixture(bytes);
+  services::DataRepository& repository = fixture.repository;
+  const util::Auid uid = fixture.data.uid;
+  ASSERT_EQ(repository.stage_begin(fixture.data), 0);
+  services::StageSlot first;
+  services::StageSlot second;
+  ASSERT_EQ(repository.stage_reserve(uid, 0, 1000, first), services::ChunkResult::kOk);
+  EXPECT_EQ(repository.stage_reserve(uid, 0, 1000, second), services::ChunkResult::kBadOffset);
+  repository.stage_write(first, bytes.substr(0, 1000));
+  ASSERT_EQ(repository.stage_advance(first, bytes.substr(0, 1000)), services::ChunkResult::kOk);
+  repository.stage_hash(first, bytes.substr(0, 1000));
+  ASSERT_EQ(repository.stage_chunk(uid, 1000, bytes.substr(1000)), services::ChunkResult::kOk);
+  EXPECT_EQ(repository.stage_commit(uid, "tcp"), services::CommitResult::kOk);
 }
 
 // --- Data Transfer ---------------------------------------------------------------

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -222,7 +223,13 @@ TEST(EpollReactor, TenThousandIdleConnectionsSmoke) {
 // --- ServiceHost hardening ---------------------------------------------------
 
 struct HostRig {
-  HostRig() : container("server", clock), host(container, ddc, {0, true, -1}) {
+  /// An in-memory container, or a WAL-backed one at `wal` (file-backed
+  /// content in `<wal>.content/`, as in every bitdewd).
+  explicit HostRig(const std::string& wal = {})
+      : owned(wal.empty() ? std::make_unique<services::ServiceContainer>("server", clock)
+                          : std::make_unique<services::ServiceContainer>("server", clock, wal)),
+        container(*owned),
+        host(container, ddc, {0, true, -1}) {
     const Status started = host.start();
     if (!started.ok()) throw std::runtime_error(started.error().to_string());
   }
@@ -242,7 +249,8 @@ struct HostRig {
   }
 
   util::ManualClock clock;
-  services::ServiceContainer container;
+  std::unique_ptr<services::ServiceContainer> owned;
+  services::ServiceContainer& container;
   dht::LocalDht ddc;
   rpc::ServiceHost host;
 };
@@ -321,21 +329,37 @@ TEST(ServiceHostHardening, EveryEndpointSurvivesGarbageBodies) {
 
 // --- the data plane over live sockets -----------------------------------------
 
-/// Filesystem + registered-datum helpers shared by the data-plane tests.
-struct DataPlaneRig : HostRig {
-  DataPlaneRig() {
-    dir = std::filesystem::temp_directory_path() /
-          ("bitdew-dataplane-" + std::to_string(::getpid()) + "-" +
-           std::to_string(counter()++));
+/// A fresh temporary directory, removed at destruction.
+struct TempDir {
+  TempDir()
+      : dir(std::filesystem::temp_directory_path() /
+            ("bitdew-dataplane-" + std::to_string(::getpid()) + "-" +
+             std::to_string(counter()++))) {
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
   }
-  ~DataPlaneRig() { std::filesystem::remove_all(dir); }
+  ~TempDir() { std::filesystem::remove_all(dir); }
 
   static int& counter() {
     static int value = 0;
     return value;
   }
+
+  std::filesystem::path dir;
+};
+
+/// Where a repository keeps staged and published bytes: database rows in
+/// an in-memory container (blob mode), or `<wal>.content/` files in a
+/// WAL-backed one (file-backed, every bitdewd).
+enum class Storage { kBlob, kFileBacked };
+
+/// A host over a container in either storage mode (its WAL in the temp
+/// dir), plus the filesystem and registered-datum helpers shared by the
+/// data-plane tests.
+struct DataPlaneRig : TempDir, HostRig {
+  explicit DataPlaneRig(Storage storage)
+      : HostRig(storage == Storage::kFileBacked ? (dir / "bitdewd.wal").string()
+                                                : std::string()) {}
 
   std::string make_payload(std::size_t size, int salt = 0) {
     std::string payload(size, '\0');
@@ -369,12 +393,19 @@ struct DataPlaneRig : HostRig {
     EXPECT_TRUE(registered.has_value() && registered->ok());
     return data;
   }
-
-  std::filesystem::path dir;
 };
 
-TEST(DataPlane, LivePutGetRoundTripIsByteIdentical) {
-  DataPlaneRig rig;
+/// The data-plane tests that run in both storage modes.
+class DataPlaneByStorage : public ::testing::TestWithParam<Storage> {};
+
+INSTANTIATE_TEST_SUITE_P(Modes, DataPlaneByStorage,
+                         ::testing::Values(Storage::kBlob, Storage::kFileBacked),
+                         [](const ::testing::TestParamInfo<Storage>& info) {
+                           return info.param == Storage::kBlob ? "Blob" : "FileBacked";
+                         });
+
+TEST_P(DataPlaneByStorage, LivePutGetRoundTripIsByteIdentical) {
+  DataPlaneRig rig(GetParam());
   api::RemoteServiceBus bus("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
   const std::string payload = rig.make_payload(200000);
   const std::string in_path = rig.write_file("in.bin", payload);
@@ -467,8 +498,8 @@ TEST(DataPlane, PutResumesAcrossDaemonKillAndWalRestart) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(DataPlane, MidStreamCorruptionOverSocketFailsChecksum) {
-  DataPlaneRig rig;
+TEST_P(DataPlaneByStorage, MidStreamCorruptionOverSocketFailsChecksum) {
+  DataPlaneRig rig(GetParam());
   api::RemoteServiceBus bus("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
   const std::string payload = rig.make_payload(65536);
   const std::string in_path = rig.write_file("in.bin", payload);
@@ -491,8 +522,8 @@ TEST(DataPlane, MidStreamCorruptionOverSocketFailsChecksum) {
   EXPECT_TRUE(rig.alive());
 }
 
-TEST(DataPlane, ConcurrentPutAndGetOfTheSameUid) {
-  DataPlaneRig rig;
+TEST_P(DataPlaneByStorage, ConcurrentPutAndGetOfTheSameUid) {
+  DataPlaneRig rig(GetParam());
   api::RemoteServiceBus setup("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
   const std::string payload = rig.make_payload(100000);
   const std::string in_path = rig.write_file("in.bin", payload);
@@ -534,8 +565,8 @@ TEST(DataPlane, ConcurrentPutAndGetOfTheSameUid) {
   EXPECT_TRUE(rig.alive());
 }
 
-TEST(DataPlane, TransferManagerDrivesConcurrentStreams) {
-  DataPlaneRig rig;
+TEST_P(DataPlaneByStorage, TransferManagerDrivesConcurrentStreams) {
+  DataPlaneRig rig(GetParam());
   constexpr int kStreams = 4;
   api::TransferManager tm;
   tm.set_max_concurrent(kStreams);
@@ -577,8 +608,8 @@ TEST(DataPlane, TransferManagerDrivesConcurrentStreams) {
   }
 }
 
-TEST(DataPlane, PipelinedScalarAndChunkFramesInterleaveOnOneConnection) {
-  DataPlaneRig rig;
+TEST_P(DataPlaneByStorage, PipelinedScalarAndChunkFramesInterleaveOnOneConnection) {
+  DataPlaneRig rig(GetParam());
   api::RemoteServiceBus bus("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
   const std::string payload = rig.make_payload(64 * 1024);
   const std::string in_path = rig.write_file("in.bin", payload);
@@ -680,6 +711,127 @@ TEST(DataPlane, FileBackedRemoteGetIsZeroCopy) {
   EXPECT_EQ((*stats)->blob_copies, 0u);   // no read materialized a blob
   host.stop();
   std::filesystem::remove_all(dir);
+}
+
+// --- file-backed staging under concurrency ---------------------------------------
+// A file-backed host stages a chunk with the container lock held only to
+// reserve its offset and advance the stage row; the bytes are written under
+// the upload's lock and hashed after the reply.
+
+/// The published content file of `uid` on a file-backed rig.
+std::string published_bytes(DataPlaneRig& rig, const util::Auid& uid) {
+  return rig.slurp((rig.dir / "bitdewd.wal.content" / uid.str()).string());
+}
+
+TEST(DataPlane, FileBackedConcurrentUploadsOfDifferentUidsCommitIntact) {
+  DataPlaneRig rig(Storage::kFileBacked);
+  api::RemoteServiceBus setup("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
+  constexpr int kUploads = 2;
+  std::vector<std::string> payloads;
+  std::vector<std::string> paths;
+  std::vector<core::Data> data;
+  for (int i = 0; i < kUploads; ++i) {
+    payloads.push_back(rig.make_payload(700000, /*salt=*/i + 1));
+    paths.push_back(rig.write_file("in-" + std::to_string(i) + ".bin", payloads.back()));
+    data.push_back(rig.register_data(setup, "upload-" + std::to_string(i), paths.back()));
+  }
+
+  // Each upload on its own connection, both in flight at once: their chunks
+  // are written and hashed on different workers in parallel.
+  std::vector<Status> outcomes(kUploads, Status(api::Error{Errc::kUnavailable, "test", "unset"}));
+  std::vector<std::thread> uploaders;
+  for (int i = 0; i < kUploads; ++i) {
+    uploaders.emplace_back([&, i] {
+      api::RemoteServiceBus bus("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
+      transfer::TcpTransfer tcp(bus, transfer::TcpConfig{16 * 1024, 1, true});
+      outcomes[static_cast<std::size_t>(i)] =
+          tcp.put_file(data[static_cast<std::size_t>(i)], paths[static_cast<std::size_t>(i)]);
+    });
+  }
+  for (std::thread& uploader : uploaders) uploader.join();
+
+  for (int i = 0; i < kUploads; ++i) {
+    const auto at = static_cast<std::size_t>(i);
+    ASSERT_TRUE(outcomes[at].ok()) << outcomes[at].error().to_string();
+    EXPECT_EQ(published_bytes(rig, data[at].uid), payloads[at]);
+    transfer::TcpTransfer tcp(setup, transfer::TcpConfig{64 * 1024, 1, false});
+    const std::string out = (rig.dir / ("out-" + std::to_string(i) + ".bin")).string();
+    ASSERT_TRUE(tcp.get_file(data[at], out).ok());
+    EXPECT_EQ(rig.slurp(out), payloads[at]);
+  }
+}
+
+TEST(DataPlane, FileBackedRaceOnOneOffsetAdmitsExactlyOneChunk) {
+  DataPlaneRig rig(Storage::kFileBacked);
+  api::RemoteServiceBus first("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
+  api::RemoteServiceBus second("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
+  constexpr std::int64_t kChunk = 32 * 1024;
+  const std::string payload = rig.make_payload(16 * kChunk, /*salt=*/7);
+  const core::Data data = rig.register_data(first, "raced", rig.write_file("in.bin", payload));
+  std::optional<api::Expected<std::int64_t>> started;
+  first.dr_put_start(data, [&](auto reply) { started = std::move(reply); });
+  ASSERT_TRUE(started->ok());
+
+  // Both connections send every chunk at the same moment. Whichever lands
+  // second finds the offset claimed or already passed: kRejected.
+  for (std::int64_t at = 0; at < data.size; at += kChunk) {
+    const std::string chunk = payload.substr(static_cast<std::size_t>(at), kChunk);
+    std::atomic<int> ready{0};
+    std::optional<Status> replies[2];
+    const auto send = [&](api::RemoteServiceBus& bus, int which) {
+      ++ready;
+      while (ready.load() < 2) {
+      }
+      bus.dr_put_chunk(data.uid, at, chunk, [&, which](Status s) { replies[which] = s; });
+    };
+    std::thread racer([&] { send(second, 1); });
+    send(first, 0);
+    racer.join();
+    ASSERT_TRUE(replies[0].has_value() && replies[1].has_value());
+    const int admitted = static_cast<int>(replies[0]->ok()) + static_cast<int>(replies[1]->ok());
+    EXPECT_EQ(admitted, 1) << "at offset " << at;
+    for (const std::optional<Status>& reply : replies) {
+      if (!reply->ok()) {
+        EXPECT_EQ(reply->error().code, Errc::kRejected);
+      }
+    }
+  }
+  std::optional<api::Expected<core::Locator>> committed;
+  first.dr_put_commit(data.uid, "tcp", [&](auto reply) { committed = std::move(reply); });
+  ASSERT_TRUE(committed->ok()) << committed->error().to_string();
+  EXPECT_EQ(published_bytes(rig, data.uid), payload);
+}
+
+TEST(DataPlane, FileBackedCommitRightBehindTheLastChunkWaitsForItsHash) {
+  DataPlaneRig rig(Storage::kFileBacked);
+  api::RemoteServiceBus bus("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
+  // Chunks large enough that the last one's MD5 is still running when the
+  // commit arrives right after its reply.
+  constexpr std::int64_t kChunk = 2 << 20;
+  for (int round = 0; round < 3; ++round) {
+    const std::string payload = rig.make_payload(2 * kChunk, /*salt=*/round);
+    const core::Data data = rig.register_data(
+        bus, "eager-" + std::to_string(round),
+        rig.write_file("in-" + std::to_string(round) + ".bin", payload));
+    std::optional<api::Expected<std::int64_t>> started;
+    bus.dr_put_start(data, [&](auto reply) { started = std::move(reply); });
+    ASSERT_TRUE(started->ok());
+    std::optional<api::Expected<core::Locator>> committed;
+    for (std::int64_t at = 0; at < data.size; at += kChunk) {
+      const bool last = at + kChunk >= data.size;
+      bus.dr_put_chunk(data.uid, at, payload.substr(static_cast<std::size_t>(at), kChunk),
+                       [&](Status s) {
+                         ASSERT_TRUE(s.ok()) << s.error().to_string();
+                         if (!last) return;
+                         bus.dr_put_commit(data.uid, "tcp", [&](auto reply) {
+                           committed = std::move(reply);
+                         });
+                       });
+    }
+    ASSERT_TRUE(committed.has_value());
+    ASSERT_TRUE(committed->ok()) << committed->error().to_string();
+    EXPECT_EQ(published_bytes(rig, data.uid), payload);
+  }
 }
 
 TEST(ServiceHostHardening, ManyConcurrentClients) {
