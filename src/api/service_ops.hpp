@@ -146,8 +146,10 @@ inline Status chunk_status(services::ServiceContainer& c, const util::Auid& uid,
       return Error{Errc::kNotFound, "dr", "no staged upload for " + uid.str()};
     case services::ChunkResult::kBadOffset:
       return Error{Errc::kRejected, "dr",
-                   "chunk offset " + std::to_string(offset) + " != bytes received (" +
-                       std::to_string(c.dr().stage_received(uid)) + ") for " + uid.str()};
+                   "chunk at offset " + std::to_string(offset) + " not accepted (" +
+                       std::to_string(c.dr().stage_received(uid)) +
+                       " bytes received; offset claimed by another chunk or stage restarted) "
+                       "for " + uid.str()};
     case services::ChunkResult::kOversize:
       return Error{Errc::kInvalidArgument, "dr",
                    "chunk exceeds the per-chunk limit or the declared content size"};

@@ -251,9 +251,7 @@ std::optional<ReplyFrame> ServiceHost::handle_frame(std::uint64_t id,
     // The data plane is never ring-routed (chunks live where the content
     // lives), so its fast paths apply in ring mode too.
     if (header.endpoint == wire::Endpoint::kDrGetChunk) return chunk_reply(header, r);
-    if (header.endpoint == wire::Endpoint::kDrPutChunk && container_.dr().file_backed()) {
-      return put_chunk_reply(header, r);
-    }
+    if (header.endpoint == wire::Endpoint::kDrPutChunk) return put_chunk_reply(header, r);
     const std::string body = dispatch(header.endpoint, r);
     if (!r.exhausted()) {
       logger().debug("connection %llu: trailing garbage behind request, dropping",

@@ -13,13 +13,14 @@
 // api/service_ops.hpp — the same handlers DirectServiceBus and
 // SimServiceBus run, so every error code is identical over the network.
 // Ping and the ring protocol are answered by the host itself
-// (ring_dispatch). The data plane of a file-backed repository takes two
-// fast paths. kDrGetChunk is zero-copy: content is answered as a frame
-// header + length prefix plus an fd slice the loop ships with sendfile,
-// never materializing the chunk in a std::string. kDrPutChunk holds the
+// (ring_dispatch). The data plane takes two fast paths. kDrGetChunk is
+// zero-copy: file-backed content is answered as a frame header + length
+// prefix plus an fd slice the loop ships with sendfile, never
+// materializing the chunk in a std::string. kDrPutChunk holds the
 // container lock only to reserve the chunk's offset and to advance the
-// stage row: the bytes go from the request frame to the upload's .part
-// file under the upload's own lock, and their MD5 runs after the reply.
+// stage row: a file-backed repository's bytes go from the request frame to
+// the upload's .part file under the upload's own lock, and their MD5 runs
+// after the reply.
 // bitdewd wraps one of these in a daemon; RemoteServiceBus is the matching
 // client.
 #pragma once
@@ -134,9 +135,8 @@ class ServiceHost {
                                          const std::string& payload);
   /// kDrGetChunk fast path: file-backed content answers as an fd slice.
   std::optional<ReplyFrame> chunk_reply(const wire::FrameHeader& header, Reader& body);
-  /// kDrPutChunk fast path (file-backed repository): stages the chunk with
-  /// the container lock held only around its row steps, and hashes it in
-  /// the reply's continuation.
+  /// kDrPutChunk fast path: stages the chunk with the container lock held
+  /// only around its row steps, and hashes it in the reply's continuation.
   std::optional<ReplyFrame> put_chunk_reply(const wire::FrameHeader& header, Reader& body)
       EXCLUDES(container_mutex_);
   /// Decodes `body`, runs the operation, and returns the encoded reply

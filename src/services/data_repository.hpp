@@ -195,12 +195,10 @@ class DataRepository {
   /// Serving counters + store size (the dr_stats endpoint's back-end).
   RepoStats stats() const;
   const std::string& host_name() const { return host_; }
-  /// Content in `<content_dir>/` files rather than database blobs. Fixed at
-  /// construction.
-  bool file_backed() const { return !content_dir_.empty(); }
 
  private:
   void drop_stage_rows(const std::string& uid_key, std::int64_t chunk_count);
+  bool file_backed() const { return !content_dir_.empty(); }
   std::string content_path(const std::string& uid_key) const;
   std::string part_path(const std::string& uid_key) const;
   /// The live upload of `uid_key`; a new one when there is none, whose
