@@ -5,6 +5,8 @@
 // a BENCH_*.json document for the perf trajectory.
 #pragma once
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstring>
 #include <initializer_list>
@@ -50,8 +52,24 @@ inline void rule(int width = 72) {
   std::putchar('\n');
 }
 
+/// Where a trajectory row came from: the source commit (`git rev-parse
+/// HEAD` in the source tree, "unknown" outside a repository), the cores
+/// online and the CMake build type, as one JSON object.
+inline std::string provenance_json() {
+  std::string commit;
+  if (std::FILE* git = ::popen("git -C '" BITDEW_SOURCE_DIR "' rev-parse HEAD 2>/dev/null", "r")) {
+    char line[128] = {};
+    if (std::fgets(line, sizeof(line), git) != nullptr) commit = line;
+    if (::pclose(git) != 0) commit.clear();
+    while (!commit.empty() && (commit.back() == '\n' || commit.back() == '\r')) commit.pop_back();
+  }
+  return "{\"commit\": \"" + (commit.empty() ? std::string("unknown") : commit) +
+         "\", \"nproc\": " + std::to_string(::sysconf(_SC_NPROCESSORS_ONLN)) +
+         ", \"build_type\": \"" BITDEW_BUILD_TYPE "\"}";
+}
+
 /// Accumulates benchmark rows and writes them as one JSON document:
-///   {"bench": "<name>", "rows": [{"k": v, ...}, ...]}
+///   {"bench": "<name>", "provenance": {...}, "rows": [{"k": v, ...}, ...]}
 /// Constructed from argv: inert (all calls no-ops) unless --json PATH was
 /// given, so benches emit unconditionally.
 class JsonEmitter {
@@ -106,7 +124,8 @@ class JsonEmitter {
       std::fprintf(stderr, "json emitter: cannot open %s\n", path_.c_str());
       return;
     }
-    std::fprintf(file, "{\"bench\": \"%s\", \"rows\": [", escape(bench_).c_str());
+    std::fprintf(file, "{\"bench\": \"%s\", \"provenance\": %s, \"rows\": [",
+                 escape(bench_).c_str(), provenance_json().c_str());
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       std::fprintf(file, "%s%s", i == 0 ? "" : ", ", rows_[i].c_str());
     }

@@ -43,6 +43,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -192,10 +193,17 @@ int main(int argc, char** argv) {
   if (wal_dir.empty()) {
     container = std::make_unique<services::ServiceContainer>(host_name, clock, scheduler_config);
   } else {
-    std::filesystem::create_directories(wal_dir);
     const std::string wal_path = (std::filesystem::path(wal_dir) / "bitdewd.wal").string();
-    container =
-        std::make_unique<services::ServiceContainer>(host_name, clock, wal_path, scheduler_config);
+    try {
+      std::filesystem::create_directories(wal_dir);
+      container = std::make_unique<services::ServiceContainer>(host_name, clock, wal_path,
+                                                               scheduler_config);
+    } catch (const std::exception& error) {
+      // An unopenable WAL or content dir: refuse to boot rather than serve
+      // without the durable state the flag asked for.
+      std::fprintf(stderr, "bitdewd: %s\n", error.what());
+      return 1;
+    }
     container->database().set_auto_compact(compact_bytes);
     std::printf("bitdewd: durable state at %s (%llu bytes replayed, %zu data scheduled)\n",
                 wal_path.c_str(),

@@ -59,16 +59,16 @@ class RemoteServiceBus final : public BusBase<RemoteServiceBus> {
 
   // --- pipelining ------------------------------------------------------------
 
-  /// Changes the in-flight window at runtime (api::Session turns this on
-  /// for its *_async streams). Shrinking below the current in-flight count
-  /// drains the excess synchronously.
-  void set_pipeline_depth(int depth);
-  int pipeline_depth() const { return config_.pipeline_depth; }
+  /// Changes the in-flight window at runtime (TcpTransfer raises it for
+  /// its chunk window). Shrinking below the current in-flight count drains
+  /// the excess synchronously.
+  void set_pipeline_depth(int depth) override;
+  int pipeline_depth() const override { return config_.pipeline_depth; }
 
   /// Completes the OLDEST outstanding pipelined call (blocking for its
   /// reply if needed) and fires its callback. false when nothing is
   /// outstanding. Session's wait() pumps this.
-  bool pump();
+  bool pump() override;
 
   /// Completes every outstanding pipelined call. Call before tearing down
   /// request-scoped state the callbacks capture.

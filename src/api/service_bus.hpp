@@ -171,6 +171,21 @@ class ServiceBus {
   /// The default fans out to ddc_publish, one call per pair: SimServiceBus
   /// takes it over an attached DHT ring, which routes per key.
   virtual void ddc_publish_batch(const std::vector<KeyValue>& pairs, Reply<BatchStatus> done);
+
+  // --- Pipelining -----------------------------------------------------------------
+  // How many scalar calls may be in flight before a callback must fire. The
+  // defaults describe a bus that never holds a reply back: DirectServiceBus
+  // answers before the call returns, and SimServiceBus answers when its
+  // caller steps the simulator. RemoteServiceBus overrides all three. Only
+  // idempotent reads may run above depth 1 (TcpTransfer's chunk window):
+  // the host runs the frames of one connection concurrently.
+
+  virtual int pipeline_depth() const { return 1; }
+  /// Shrinking below the calls in flight completes the excess at once.
+  virtual void set_pipeline_depth(int /*depth*/) {}
+  /// Completes the oldest call in flight and fires its callback; false
+  /// when none is outstanding (always, for Direct and Sim).
+  virtual bool pump() { return false; }
 };
 
 }  // namespace bitdew::api

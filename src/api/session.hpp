@@ -118,7 +118,8 @@ class Session {
   // Read-side futures. Over a pipelined RemoteServiceBus
   // (set_pipeline_depth > 1, pump = [&bus] { return bus.pump(); }) a burst
   // of these rides N-deep on one connection — the epoll host answers out of
-  // order and the futures resolve as the replies demux.
+  // order and the futures resolve as the replies demux. put_file/get_file
+  // need neither: the transfer engine pipelines its own chunk window.
   SessionFuture<std::vector<core::Locator>> locate_async(const util::Auid& uid) {
     SessionFuture<std::vector<core::Locator>> future;
     bitdew_.locate(uid, future.resolver());
@@ -202,13 +203,16 @@ class Session {
   /// TransferManager at construction).
   Status wait_transfer(const util::Auid& uid);
 
-  // --- real-byte data plane (PR 3) --------------------------------------------
+  // --- real-byte data plane ---------------------------------------------------
   // Chunked out-of-band content transfer through the bus's dr_put_start /
   // dr_put_chunk / dr_put_commit / dr_get_chunk endpoints (the
   // transfer::TcpTransfer engine): Sim/Direct land in the in-process
-  // repository, Remote streams over TCP. Uploads resume at the offset the
-  // repository reports; downloads resume from `path`.part; both are
-  // MD5-verified (Errc::kChecksumMismatch on divergence).
+  // repository, Remote streams over TCP. Uploads send one chunk at a time
+  // and resume at the offset the repository reports; downloads keep
+  // transfer::kGetWindow fetches in flight (the engine raises the bus's
+  // pipeline depth for the loop and restores it after) and resume from
+  // `path`.part. Both are MD5-verified (Errc::kChecksumMismatch on
+  // divergence); the download hashes on a helper thread.
 
   /// Creates a data slot named `name` from the file at `path` — or reuses
   /// the registered slot of that name when its descriptor matches the file,

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <stdexcept>
 #include <system_error>
 #include <variant>
 
@@ -154,8 +155,12 @@ DataRepository::DataRepository(db::Database& database, std::string host_name,
   if (file_backed()) {
     std::error_code ec;
     std::filesystem::create_directories(content_dir_, ec);
-    // A dead content dir degrades to blob mode rather than failing boot.
-    if (ec) content_dir_.clear();
+    if (!ec && !std::filesystem::is_directory(content_dir_, ec)) {
+      ec = std::make_error_code(std::errc::not_a_directory);
+    }
+    if (ec) {
+      throw std::runtime_error("cannot create content dir " + content_dir_ + ": " + ec.message());
+    }
   }
 }
 

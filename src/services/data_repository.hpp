@@ -105,7 +105,9 @@ class DataRepository {
   /// chunks arrive, and commit is a rename — publishing stores only the
   /// content path, so reads can be served as fd slices (read_chunk_ref)
   /// with zero intermediate copies. Empty = legacy blob mode (content
-  /// bytes live in the dr_content table; in-memory containers).
+  /// bytes live in the dr_content table; in-memory containers). Throws
+  /// std::runtime_error naming the path when `content_dir` cannot be
+  /// created, as db::Database does for a WAL it cannot open.
   DataRepository(db::Database& database, std::string host_name,
                  std::string content_dir = "");
 

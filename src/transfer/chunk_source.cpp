@@ -16,9 +16,9 @@ ChunkFetch BusChunkSource::fetch(const util::Auid& uid, std::int64_t offset,
   auto slot = std::make_shared<std::optional<Expected<std::string>>>();
   bus_.dr_get_chunk(uid, offset, max_bytes,
                     [slot](Expected<std::string> reply) { *slot = std::move(reply); });
-  return ChunkFetch([slot, pump = pump_]() -> Expected<std::string> {
+  return ChunkFetch([slot, &bus = bus_, pump = pump_]() -> Expected<std::string> {
     while (!slot->has_value()) {
-      if (!pump || !pump()) {
+      if (!(pump ? pump() : bus.pump())) {
         return Error{Errc::kUnavailable, "chunk", "stalled waiting for a repository chunk"};
       }
     }

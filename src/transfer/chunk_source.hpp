@@ -8,10 +8,9 @@
 // The API is async-friendly: fetch() puts the request in flight and
 // returns a ChunkFetch future immediately; wait() blocks (pumping the
 // underlying engine) only when the bytes are actually needed. That lets an
-// engine keep a prefetch window open — issue chunk N+1 before consuming
-// chunk N — so over a pipelined RemoteServiceBus or an epoll chunk server
-// the next chunk is already crossing the wire while the current one is
-// hashed and written to disk.
+// engine keep a window of fetches open — TcpTransfer issues kGetWindow
+// chunks ahead over a bus it has pipelined — so the next chunks are
+// already crossing the wire while the current one is written and hashed.
 //
 // Failure taxonomy, uniform across sources:
 //  * Errc::kTransport  — connection refused/dropped, deadline, malformed
@@ -82,9 +81,9 @@ class ChunkSource {
 };
 
 /// The central repository through a ServiceBus (dr_get_chunk). `pump`
-/// advances the engine while a fetch waits — a simulator step, or
-/// RemoteServiceBus::pump() when the bus pipelines; null for synchronous
-/// buses (an unresolved wait then fails kUnavailable instead of hanging).
+/// advances the engine while a fetch waits (a simulator step); null means
+/// the bus's own pump(), which completes pipelined calls. A wait that no
+/// pump can resolve fails kUnavailable instead of hanging.
 class BusChunkSource final : public ChunkSource {
  public:
   using Pump = std::function<bool()>;

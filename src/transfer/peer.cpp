@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -11,9 +9,9 @@
 #include "rpc/transport.hpp"
 #include "services/data_repository.hpp"
 #include "transfer/chunk_source.hpp"
+#include "transfer/part_file.hpp"
 #include "transfer/progress.hpp"
 #include "util/log.hpp"
-#include "util/md5.hpp"
 
 namespace bitdew::transfer {
 namespace {
@@ -96,7 +94,6 @@ Status PeerTransfer::get_file(const core::Data& data, const std::string& path,
     if (registered->has_value() && (*registered)->ok()) ticket = ***registered;
   }
 
-  const std::string part = path + ".part";
   ProgressReport progress(bus_, ticket);
   Status outcome = ok_status();
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
@@ -106,55 +103,22 @@ Status PeerTransfer::get_file(const core::Data& data, const std::string& path,
       // another chance this round (its channel reconnects on the next call).
       for (Source& peer : peers) peer.dead = false;
     }
-    outcome = get_round(data, part, peers, progress);
+    outcome = get_round(data, path, peers, progress);
     if (!retryable(outcome)) break;
   }
-  if (outcome.ok()) {
-    std::error_code ec;
-    std::filesystem::rename(part, path, ec);
-    if (ec) outcome = Error{Errc::kUnavailable, "p2p", "cannot move " + part + ": " + ec.message()};
-  }
 
-  if (ticket != 0) {
-    if (outcome.ok()) {
-      bus_.dt_complete(ticket, data.checksum, data.checksum, [](Status) {});
-    } else if (outcome.error().code == Errc::kChecksumMismatch) {
-      bus_.dt_complete(ticket, "(corrupt)", data.checksum, [](Status) {});
-    } else {
-      bus_.dt_failure(ticket, 0, /*can_resume=*/true, [](Status) {});
-    }
-  }
+  progress.close(data.checksum, outcome);
   return outcome;
 }
 
-Status PeerTransfer::get_round(const core::Data& data, const std::string& part,
+Status PeerTransfer::get_round(const core::Data& data, const std::string& path,
                                std::vector<Source>& peers, ProgressReport& progress) {
-  // Resume from whatever prefix of the .part file survived, re-hashing it
-  // so the final MD5 covers every byte on disk (same policy as TcpTransfer).
-  std::int64_t offset = 0;
-  util::Md5 hasher;
-  std::error_code ec;
-  if (std::filesystem::exists(part, ec)) {
-    const std::int64_t held = static_cast<std::int64_t>(std::filesystem::file_size(part, ec));
-    if (!ec && held > 0 && held <= data.size) {
-      std::ifstream existing(part, std::ios::binary);
-      char buffer[64 * 1024];
-      while (existing) {
-        existing.read(buffer, sizeof(buffer));
-        if (existing.gcount() > 0) hasher.update(buffer, static_cast<std::size_t>(existing.gcount()));
-      }
-      offset = held;
-      ++stats_.resumes;
-    } else {
-      std::filesystem::remove(part, ec);  // oversized/unreadable partial: restart
-    }
-  }
+  Expected<std::unique_ptr<PartFile>> opened = PartFile::open(path, data.size, "p2p");
+  if (!opened.ok()) return Status(opened.error());
+  PartFile& part = **opened;
+  if (part.resumed()) ++stats_.resumes;
 
-  std::ofstream out(part, offset > 0 ? std::ios::binary | std::ios::app : std::ios::binary);
-  if (!out) return Error{Errc::kInvalidArgument, "p2p", "cannot write " + part};
-
-  // The fallback source: synchronous buses resolve before fetch() returns,
-  // so no pump is wired (a stalled engine fails typed instead of hanging).
+  // The fallback source, waited on through the bus's own pump.
   BusChunkSource repository(bus_);
 
   // Start the stripe at a name-dependent slot so concurrent downloaders
@@ -162,9 +126,10 @@ Status PeerTransfer::get_round(const core::Data& data, const std::string& part,
   std::size_t stripe = peers.empty()
                            ? 0
                            : std::hash<std::string>{}(config_.local_name) % peers.size();
-  std::int64_t chunk_index = offset / config_.chunk_bytes;
+  std::int64_t chunk_index = part.offset() / config_.chunk_bytes;
 
-  while (offset < data.size) {
+  while (part.offset() < data.size) {
+    const std::int64_t offset = part.offset();
     const std::int64_t want = std::min(config_.chunk_bytes, data.size - offset);
     std::optional<std::string> chunk;
 
@@ -192,10 +157,7 @@ Status PeerTransfer::get_round(const core::Data& data, const std::string& part,
     if (!from_peer) {
       // --- repository fallback: always a correct source --------------------
       Expected<std::string> bytes = repository.fetch(data.uid, offset, want).wait();
-      if (!bytes.ok()) {
-        out.flush();
-        return Status(bytes.error());
-      }
+      if (!bytes.ok()) return Status(bytes.error());
       if (bytes->empty()) {
         return Error{Errc::kUnavailable, "p2p",
                      "repository holds fewer bytes than the descriptor declares"};
@@ -203,13 +165,9 @@ Status PeerTransfer::get_round(const core::Data& data, const std::string& part,
       chunk = std::move(*bytes);
     }
 
-    out.write(chunk->data(), static_cast<std::streamsize>(chunk->size()));
-    if (!out.good()) {
-      return Error{Errc::kUnavailable, "p2p", "short write to " + part};
-    }
-    hasher.update(*chunk);
     const auto got = static_cast<std::int64_t>(chunk->size());
-    offset += got;
+    const Status written = part.append(std::move(*chunk));
+    if (!written.ok()) return written;
     ++chunk_index;
     if (from_peer) {
       stats_.bytes_from_peers += got;
@@ -218,18 +176,9 @@ Status PeerTransfer::get_round(const core::Data& data, const std::string& part,
       stats_.bytes_from_repository += got;
       ++stats_.chunks_from_repository;
     }
-    progress.update(offset);
+    progress.update(part.offset());
   }
-  out.close();
-  if (!out.good()) return Error{Errc::kUnavailable, "p2p", "flush failed for " + part};
-
-  if (hasher.finish().hex() != data.checksum) {
-    std::filesystem::remove(part, ec);  // poisoned partials must not resume
-    return Error{Errc::kChecksumMismatch, "p2p",
-                 "downloaded content MD5 differs from the registered checksum of " +
-                     data.uid.str()};
-  }
-  return ok_status();
+  return part.finish(data.checksum);
 }
 
 }  // namespace bitdew::transfer

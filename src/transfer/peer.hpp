@@ -17,10 +17,12 @@
 //  * a dropped repository connection resumes at the `.part` offset exactly
 //    like transfer::TcpTransfer, up to config.max_attempts rounds (dropped
 //    peers are given another chance each round — they may have restarted);
-//  * the final whole-file MD5 verify is unchanged: every received byte is
-//    re-hashed and compared against the datum's registered checksum before
-//    `.part` is renamed into place, so a corrupt or malicious peer can cost
-//    retries but never poison a cache.
+//  * the final whole-file MD5 verify is unchanged: chunks go through the
+//    same PartFile sink as TcpTransfer's, which hashes every byte of
+//    `.part` on a helper thread (overlapping the next fetch) and compares
+//    the digest against the datum's registered checksum before `.part` is
+//    renamed into place, so a corrupt or malicious peer can cost retries
+//    but never poison a cache.
 //
 // Registered in the live protocol registry under "p2p" (kPeerProtocol);
 // the scheduler only attaches peer locators to data whose oob attribute
@@ -80,7 +82,7 @@ class PeerTransfer {
  private:
   struct Source;
 
-  api::Status get_round(const core::Data& data, const std::string& part,
+  api::Status get_round(const core::Data& data, const std::string& path,
                         std::vector<Source>& peers, ProgressReport& progress);
 
   api::ServiceBus& bus_;

@@ -1,12 +1,13 @@
 // ProgressReport: a transfer's dt_monitor reports to the Data Transfer
 // service, paced to the DT monitoring period (services::kMonitorPeriodS)
-// rather than sent once per chunk. Over a synchronous bus every report is
-// a control round trip; at the paper's 500 ms a 64 MiB transfer sends none
-// or one instead of 256.
+// rather than sent once per chunk, and the ticket's closing report. Over a
+// synchronous bus every report is a control round trip; at the paper's
+// 500 ms a 64 MiB transfer sends none or one instead of 256.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <string>
 
 #include "api/service_bus.hpp"
 #include "services/data_transfer.hpp"
@@ -28,6 +29,20 @@ class ProgressReport {
     if (now < due_) return;
     due_ = now + kPeriod;
     bus_.dt_monitor(ticket_, done_bytes, [](api::Status) {});
+  }
+
+  /// Closes the ticket with the transfer's outcome: dt_complete on success
+  /// and on an integrity reject (which the DT service counts), dt_failure
+  /// otherwise. Fire and forget, like update().
+  void close(const std::string& checksum, const api::Status& outcome) {
+    if (ticket_ == 0) return;
+    if (outcome.ok()) {
+      bus_.dt_complete(ticket_, checksum, checksum, [](api::Status) {});
+    } else if (outcome.error().code == api::Errc::kChecksumMismatch) {
+      bus_.dt_complete(ticket_, "(corrupt)", checksum, [](api::Status) {});
+    } else {
+      bus_.dt_failure(ticket_, 0, /*can_resume=*/true, [](api::Status) {});
+    }
   }
 
  private:

@@ -1,15 +1,15 @@
 #include "transfer/tcp.hpp"
 
 #include <algorithm>
-#include <filesystem>
+#include <deque>
 #include <fstream>
 #include <memory>
 #include <optional>
 
 #include "services/data_repository.hpp"
 #include "transfer/chunk_source.hpp"
+#include "transfer/part_file.hpp"
 #include "transfer/progress.hpp"
-#include "util/md5.hpp"
 
 namespace bitdew::transfer {
 namespace {
@@ -29,6 +29,23 @@ bool retryable(const Status& status) {
          (status.error().code == Errc::kTransport || status.error().code == Errc::kRejected);
 }
 
+/// Raises a bus's pipeline depth to at least `depth` for one scope. The
+/// caller's depth comes back on every exit, and lowering it completes
+/// whatever the scope left in flight.
+class DepthScope {
+ public:
+  DepthScope(api::ServiceBus& bus, int depth) : bus_(bus), saved_(bus.pipeline_depth()) {
+    if (saved_ < depth) bus_.set_pipeline_depth(depth);
+  }
+  ~DepthScope() { bus_.set_pipeline_depth(saved_); }
+  DepthScope(const DepthScope&) = delete;
+  DepthScope& operator=(const DepthScope&) = delete;
+
+ private:
+  api::ServiceBus& bus_;
+  const int saved_;
+};
+
 }  // namespace
 
 TcpTransfer::TcpTransfer(api::ServiceBus& bus, TcpConfig config, Pump pump)
@@ -42,7 +59,7 @@ Expected<T> TcpTransfer::wait(std::function<void(api::Reply<Expected<T>>)> issue
   auto slot = std::make_shared<std::optional<Expected<T>>>();
   issue([slot](Expected<T> value) { *slot = std::move(value); });
   while (!slot->has_value()) {
-    if (!pump_ || !pump_()) {
+    if (!(pump_ ? pump_() : bus_.pump())) {
       return Error{Errc::kUnavailable, "tcp", "stalled waiting for a data-plane reply"};
     }
   }
@@ -58,19 +75,6 @@ services::TicketId TcpTransfer::open_ticket(const core::Data& data, bool upload)
                      upload ? "dr" : config_.local_name, kTcpProtocol, std::move(done));
   });
   return ticket.ok() ? *ticket : 0;
-}
-
-void TcpTransfer::close_ticket(services::TicketId ticket, const core::Data& data,
-                               const Status& outcome) {
-  if (ticket == 0) return;
-  if (outcome.ok()) {
-    bus_.dt_complete(ticket, data.checksum, data.checksum, [](Status) {});
-  } else if (outcome.error().code == Errc::kChecksumMismatch) {
-    // Let the DT service register the integrity reject in its stats.
-    bus_.dt_complete(ticket, "(corrupt)", data.checksum, [](Status) {});
-  } else {
-    bus_.dt_failure(ticket, 0, /*can_resume=*/true, [](Status) {});
-  }
 }
 
 // --- upload -------------------------------------------------------------------
@@ -106,7 +110,7 @@ Status TcpTransfer::upload(const core::Data& data, const std::string& path) {
       bus_.dc_add_locator(locator, std::move(done));
     });
   }
-  close_ticket(ticket, data, outcome);
+  progress.close(data.checksum, outcome);
   return outcome;
 }
 
@@ -156,101 +160,56 @@ Status TcpTransfer::get_file(const core::Data& data, const std::string& path) {
     return Error{Errc::kInvalidArgument, "tcp",
                  "datum " + data.uid.str() + " has no content descriptor to verify against"};
   }
-  const std::string part = path + ".part";
   const services::TicketId ticket = open_ticket(data, /*upload=*/false);
   ProgressReport progress(bus_, ticket);
   Status outcome = ok_status();
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
     if (attempt > 0) ++stats_.retries;
-    outcome = get_round(data, part, progress);
+    outcome = get_round(data, path, progress);
     if (!retryable(outcome)) break;
   }
-  if (outcome.ok()) {
-    std::error_code ec;
-    std::filesystem::rename(part, path, ec);
-    if (ec) outcome = Error{Errc::kUnavailable, "tcp", "cannot move " + part + ": " + ec.message()};
-  }
-  close_ticket(ticket, data, outcome);
+  progress.close(data.checksum, outcome);
   return outcome;
 }
 
-Status TcpTransfer::get_round(const core::Data& data, const std::string& part,
+Status TcpTransfer::get_round(const core::Data& data, const std::string& path,
                               ProgressReport& progress) {
-  // Resume from whatever prefix of the .part file survived, re-hashing it
-  // so the final MD5 covers every byte on disk, not just this round's.
-  std::int64_t offset = 0;
-  util::Md5 hasher;
-  std::error_code ec;
-  if (std::filesystem::exists(part, ec)) {
-    const std::int64_t held = static_cast<std::int64_t>(std::filesystem::file_size(part, ec));
-    if (!ec && held > 0 && held <= data.size) {
-      std::ifstream existing(part, std::ios::binary);
-      char buffer[64 * 1024];
-      while (existing) {
-        existing.read(buffer, sizeof(buffer));
-        if (existing.gcount() > 0) hasher.update(buffer, static_cast<std::size_t>(existing.gcount()));
-      }
-      offset = held;
-      ++stats_.resumes;
-    } else {
-      std::filesystem::remove(part, ec);  // oversized/unreadable partial: restart
-    }
-  }
+  Expected<std::unique_ptr<PartFile>> opened = PartFile::open(path, data.size, "tcp");
+  if (!opened.ok()) return Status(opened.error());
+  PartFile& part = **opened;
+  if (part.resumed()) ++stats_.resumes;
 
-  std::ofstream out(part, offset > 0 ? std::ios::binary | std::ios::app : std::ios::binary);
-  if (!out) return Error{Errc::kInvalidArgument, "tcp", "cannot write " + part};
-
-  // Chunk N+1 is issued through the shared ChunkSource read API before
-  // chunk N is consumed. Over a bus with pipeline depth > 1 (a caller's
-  // RemoteServiceBus::set_pipeline_depth; Session leaves it at 1) the next
-  // chunk then crosses the wire while this one is hashed and written; at
-  // depth 1 the fetch completes before it returns. Reads are idempotent,
-  // so in-flight overlap is safe (uploads stay strictly sequential — the
-  // repository's stage offset is stateful).
+  // kGetWindow reads ride the wire while the oldest is written and handed
+  // to the sink's hash thread. Reads are idempotent, so they may overlap;
+  // uploads stay strictly sequential (the repository's stage offset is
+  // stateful). The +1 leaves room for a paced dt_monitor: at depth ==
+  // window it would complete the oldest fetch before it is waited on.
+  const DepthScope depth(bus_, static_cast<int>(kGetWindow) + 1);
   BusChunkSource source(bus_, pump_);
-  ChunkFetch next;
-  std::int64_t next_offset = 0;
-  const auto issue = [&](std::int64_t at) {
-    next = source.fetch(data.uid, at, std::min(config_.chunk_bytes, data.size - at));
-    next_offset = at;
-  };
-
-  while (offset < data.size) {
-    const std::int64_t want = std::min(config_.chunk_bytes, data.size - offset);
-    if (!next.valid() || next_offset != offset) issue(offset);
-    ChunkFetch current = std::move(next);
-    if (offset + want < data.size) issue(offset + want);
-    const Expected<std::string> chunk = current.wait();
-    if (!chunk.ok()) {
-      out.flush();
-      return Status(chunk.error());
+  std::deque<ChunkFetch> window;
+  std::int64_t issued = part.offset();
+  while (part.offset() < data.size) {
+    for (; window.size() < kGetWindow && issued < data.size; issued += config_.chunk_bytes) {
+      window.push_back(
+          source.fetch(data.uid, issued, std::min(config_.chunk_bytes, data.size - issued)));
     }
-    if (chunk->empty()) {
+    Expected<std::string> chunk = window.front().wait();
+    window.pop_front();
+    if (!chunk.ok()) return Status(chunk.error());
+    // Later fetches assume full chunks: a short one must never be written
+    // where the next chunk belongs.
+    const auto got = static_cast<std::int64_t>(chunk->size());
+    if (got != std::min(config_.chunk_bytes, data.size - part.offset())) {
       return Error{Errc::kUnavailable, "tcp",
                    "repository holds fewer bytes than the descriptor declares"};
     }
-    out.write(chunk->data(), static_cast<std::streamsize>(chunk->size()));
-    if (!out.good()) {
-      // A full disk must not rename a truncated .part as "verified": the
-      // MD5 below covers received bytes, so written bytes must match them.
-      return Error{Errc::kUnavailable, "tcp", "short write to " + part};
-    }
-    hasher.update(*chunk);
-    offset += static_cast<std::int64_t>(chunk->size());
-    stats_.bytes_received += static_cast<std::int64_t>(chunk->size());
+    const Status written = part.append(std::move(*chunk));
+    if (!written.ok()) return written;
+    stats_.bytes_received += got;
     ++stats_.chunks_received;
-    progress.update(offset);
+    progress.update(part.offset());
   }
-  out.close();
-  if (!out.good()) return Error{Errc::kUnavailable, "tcp", "flush failed for " + part};
-
-  if (hasher.finish().hex() != data.checksum) {
-    std::filesystem::remove(part, ec);  // poisoned partials must not resume
-    return Error{Errc::kChecksumMismatch, "tcp",
-                 "downloaded content MD5 differs from the registered checksum of " +
-                     data.uid.str()};
-  }
-  return ok_status();
+  return part.finish(data.checksum);
 }
 
 }  // namespace bitdew::transfer

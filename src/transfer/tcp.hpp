@@ -4,13 +4,18 @@
 // (dr_put_start / dr_put_chunk / dr_put_commit / dr_get_chunk):
 //
 //  * uploads and downloads run in fixed-size chunks (config.chunk_bytes);
+//    an upload sends one chunk at a time, a download keeps kGetWindow
+//    chunk fetches in flight and raises the bus's pipeline depth to
+//    kGetWindow + 1 for the duration (the caller's depth comes back after);
 //  * a dropped connection or daemon restart is survived by resuming at the
 //    offset the repository reports (put) or at the length of the on-disk
 //    `.part` file (get) — up to config.max_attempts rounds;
 //  * content integrity is MD5-verified end to end: the repository checks
 //    the assembled upload against the datum's registered checksum at commit
-//    (Errc::kChecksumMismatch), and get_file re-hashes every received byte
-//    before renaming `.part` into place;
+//    (Errc::kChecksumMismatch), and get_file writes through a PartFile
+//    (transfer/part_file.hpp), which hashes every byte of the `.part` on a
+//    helper thread while the next chunks cross the wire and verifies the
+//    digest before renaming `.part` into place;
 //  * each transfer is registered with the Data Transfer service (a ticket,
 //    progress via dt_monitor at most once per the DT monitoring period,
 //    dt_complete/dt_failure at the end), so the control plane observes the
@@ -19,7 +24,8 @@
 // Over RemoteServiceBus the chunks travel as frames on a real TCP
 // connection; over Direct/SimServiceBus they land in the in-process
 // repository — the engine is backend-agnostic, like everything above the
-// bus. Registered in the protocol registry under the name "tcp"
+// bus, and works at any pipeline depth the caller left the bus at.
+// Registered in the protocol registry under the name "tcp"
 // (kTcpProtocol); see transfer/protocol.hpp for the registry itself.
 #pragma once
 
@@ -35,6 +41,9 @@ class ProgressReport;
 
 /// Protocol-registry name locators minted by this engine carry.
 inline constexpr const char* kTcpProtocol = "tcp";
+
+/// dr_get_chunk fetches a download keeps in flight.
+inline constexpr std::size_t kGetWindow = 4;
 
 struct TcpConfig {
   std::int64_t chunk_bytes = 256 * 1024;  ///< clamped to [1, services::kMaxChunkBytes]
@@ -57,7 +66,8 @@ struct TcpStats {
 class TcpTransfer {
  public:
   /// `pump` advances the underlying engine while waiting for a reply (one
-  /// simulator step); null for the synchronous Direct/Remote buses.
+  /// simulator step); null means the bus's own pump(), which completes a
+  /// pipelined RemoteServiceBus call and has nothing to do on Direct.
   using Pump = std::function<bool()>;
 
   explicit TcpTransfer(api::ServiceBus& bus, TcpConfig config = {}, Pump pump = nullptr);
@@ -75,7 +85,8 @@ class TcpTransfer {
   api::Status upload(const core::Data& data, const std::string& path);
 
   /// Downloads the content of `data` into `path` (staged via `path`.part,
-  /// renamed only after MD5 verification against data.checksum).
+  /// renamed only after MD5 verification against data.checksum). A chunk
+  /// shorter than requested before the end fails kUnavailable.
   api::Status get_file(const core::Data& data, const std::string& path);
 
   const TcpStats& stats() const { return stats_; }
@@ -87,14 +98,12 @@ class TcpTransfer {
 
   api::Status put_round(const core::Data& data, const std::string& path,
                         ProgressReport& progress, core::Locator* locator_out);
-  api::Status get_round(const core::Data& data, const std::string& part_path,
+  api::Status get_round(const core::Data& data, const std::string& path,
                         ProgressReport& progress);
 
-  /// DT-service bookkeeping; all failures are ignored (the data path must
-  /// not depend on control-plane health).
+  /// Registers the transfer with the DT service; 0 (untracked) on any
+  /// failure: the data path must not depend on control-plane health.
   services::TicketId open_ticket(const core::Data& data, bool upload);
-  void close_ticket(services::TicketId ticket, const core::Data& data,
-                    const api::Status& outcome);
 
   api::ServiceBus& bus_;
   TcpConfig config_;

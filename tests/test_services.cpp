@@ -6,7 +6,9 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <optional>
+#include <stdexcept>
 
 #include "core/attributes.hpp"
 #include "services/container.hpp"
@@ -172,6 +174,29 @@ TEST(Repository, EmptyUploadCommitsInFileMode) {
   EXPECT_EQ(repository.stage_commit(fixture.data.uid, "tcp"), services::CommitResult::kOk);
   EXPECT_TRUE(repository.has_bytes(fixture.data.uid));
   EXPECT_EQ(repository.read_bytes(fixture.data.uid, 0, 16), "");
+}
+
+TEST(Repository, UncreatableContentDirFailsConstruction) {
+  // A regular file where the WAL's content dir belongs: the container must
+  // refuse to build, naming the path, instead of keeping content in WAL
+  // rows. An in-memory container has no content dir and keeps blob mode.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("bitdew-nodir-" + std::to_string(::getpid()) + "-" + util::next_auid().str());
+  std::filesystem::create_directories(dir);
+  const std::string wal = (dir / "bitdewd.wal").string();
+  { std::ofstream(wal + ".content") << "not a directory"; }
+  util::ManualClock clock;
+  try {
+    services::ServiceContainer container("server", clock, wal);
+    ADD_FAILURE() << "a container built over an unusable content dir";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(wal + ".content"), std::string::npos)
+        << error.what();
+  }
+  services::ServiceContainer in_memory("server", clock);
+  const Data data = make_data("blob", 3);
+  ASSERT_EQ(in_memory.dr().stage_begin(data), 0);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Repository, StaleChunkAfterResumeChangesNothing) {

@@ -633,6 +633,26 @@ TEST_F(TcpTransferTest, GetResumesFromPartFile) {
   EXPECT_EQ(slurp(out_path), payload);
 }
 
+TEST_F(TcpTransferTest, CorruptPartPrefixFailsChecksumAndIsRemoved) {
+  const std::string payload = make_payload(12288);
+  const std::string in_path = write_file("in.bin", payload);
+  const core::Data data = register_data("payload", in_path);
+  auto tcp = engine(4096);
+  ASSERT_TRUE(tcp.put_file(data, in_path).ok());
+
+  // The kept prefix differs from the datum in one byte: the download
+  // resumes after it, and the digest over the whole file must catch it.
+  std::string prefix = payload.substr(0, 4096);
+  prefix[100] = static_cast<char>(prefix[100] ^ 0x20);
+  const std::string out_path = (dir_ / "out.bin").string();
+  write_file("out.bin.part", prefix);
+
+  EXPECT_EQ(tcp.get_file(data, out_path).code(), Errc::kChecksumMismatch);
+  EXPECT_EQ(tcp.stats().resumes, 1);
+  EXPECT_FALSE(std::filesystem::exists(out_path + ".part"));
+  EXPECT_FALSE(std::filesystem::exists(out_path));
+}
+
 TEST_F(TcpTransferTest, GetOfMetadataOnlyDatumFailsNotFound) {
   // A datum put through the descriptor-only path (simulated content) has no
   // real bytes to serve.

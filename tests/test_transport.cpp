@@ -834,6 +834,103 @@ TEST(DataPlane, FileBackedCommitRightBehindTheLastChunkWaitsForItsHash) {
   }
 }
 
+// --- downloads through the chunk window ------------------------------------------
+// TcpTransfer keeps several dr_get_chunk fetches in flight and hashes the
+// `.part` on a helper thread; these pin what the window must not change.
+
+/// A committed datum of `size` bytes on a file-backed rig, uploaded in
+/// 32 KiB chunks over a depth-1 bus; the payload is left in `payload`.
+core::Data committed_datum(DataPlaneRig& rig, std::size_t size, std::string& payload) {
+  api::RemoteServiceBus setup("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
+  payload = rig.make_payload(size);
+  const std::string in_path = rig.write_file("in.bin", payload);
+  const core::Data data = rig.register_data(setup, "windowed", in_path);
+  transfer::TcpTransfer tcp(setup, transfer::TcpConfig{32 * 1024, 3, false});
+  const Status put = tcp.put_file(data, in_path);
+  EXPECT_TRUE(put.ok()) << put.error().to_string();
+  return data;
+}
+
+TEST(DataPlane, FileBackedTransfersWithoutPumpOnAPipelinedBus) {
+  // No pump: the engine completes its own calls through the bus's pump(),
+  // at whatever depth the caller set.
+  DataPlaneRig rig(Storage::kFileBacked);
+  api::RemoteServiceBus setup("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
+  const std::string payload = rig.make_payload(300000);
+  const std::string in_path = rig.write_file("in.bin", payload);
+  const core::Data data = rig.register_data(setup, "deep", in_path);
+
+  api::RemoteServiceBus bus("127.0.0.1", rig.host.port(),
+                            api::RemoteBusConfig{1.0, 5.0, 4, /*pipeline_depth=*/16});
+  transfer::TcpTransfer tcp(bus, transfer::TcpConfig{32 * 1024, 3, true});
+  const Status put = tcp.put_file(data, in_path);
+  ASSERT_TRUE(put.ok()) << put.error().to_string();
+  const std::string out_path = (rig.dir / "out.bin").string();
+  const Status got = tcp.get_file(data, out_path);
+  ASSERT_TRUE(got.ok()) << got.error().to_string();
+  EXPECT_EQ(rig.slurp(out_path), payload);
+  EXPECT_EQ(bus.pipeline_depth(), 16);
+}
+
+TEST(DataPlane, FileBackedCorruptContentOnDiskFailsGetChecksum) {
+  DataPlaneRig rig(Storage::kFileBacked);
+  std::string payload;
+  const core::Data data = committed_datum(rig, 200000, payload);
+  {
+    std::fstream content(rig.dir / "bitdewd.wal.content" / data.uid.str(),
+                         std::ios::binary | std::ios::in | std::ios::out);
+    content.seekp(150000);
+    content.put(static_cast<char>(payload[150000] ^ 0x01));
+  }
+
+  api::RemoteServiceBus bus("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
+  transfer::TcpTransfer tcp(bus, transfer::TcpConfig{32 * 1024, 3, true});
+  const std::string out_path = (rig.dir / "out.bin").string();
+  EXPECT_EQ(tcp.get_file(data, out_path).code(), Errc::kChecksumMismatch);
+  EXPECT_FALSE(std::filesystem::exists(out_path + ".part"));
+  EXPECT_FALSE(std::filesystem::exists(out_path));
+}
+
+TEST(DataPlane, FileBackedTruncatedContentFailsGetUnavailable) {
+  // The repository now holds fewer bytes than the descriptor declares: the
+  // chunk cut short mid-file must fail the get, never land at the offset
+  // of the chunks fetched after it.
+  DataPlaneRig rig(Storage::kFileBacked);
+  std::string payload;
+  const core::Data data = committed_datum(rig, 200000, payload);
+  std::filesystem::resize_file(rig.dir / "bitdewd.wal.content" / data.uid.str(), 100000);
+
+  api::RemoteServiceBus bus("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
+  transfer::TcpTransfer tcp(bus, transfer::TcpConfig{32 * 1024, 3, true});
+  const std::string out_path = (rig.dir / "out.bin").string();
+  EXPECT_EQ(tcp.get_file(data, out_path).code(), Errc::kUnavailable);
+  EXPECT_FALSE(std::filesystem::exists(out_path));
+  EXPECT_TRUE(rig.alive());
+}
+
+TEST(DataPlane, FileBackedGetLeavesTheCallersPipelineDepth) {
+  DataPlaneRig rig(Storage::kFileBacked);
+  std::string payload;
+  const core::Data data = committed_datum(rig, 200000, payload);
+  core::Data missing = data;  // registered nowhere, no bytes anywhere
+  missing.uid = util::next_auid();
+
+  for (const int depth : {1, 16}) {
+    api::RemoteServiceBus bus("127.0.0.1", rig.host.port(),
+                              api::RemoteBusConfig{1.0, 5.0, 4, depth});
+    transfer::TcpTransfer tcp(bus, transfer::TcpConfig{32 * 1024, 3, true});
+    const std::string out_path = (rig.dir / ("out-" + std::to_string(depth))).string();
+    const Status got = tcp.get_file(data, out_path);
+    ASSERT_TRUE(got.ok()) << got.error().to_string();
+    EXPECT_EQ(rig.slurp(out_path), payload);
+    EXPECT_EQ(bus.pipeline_depth(), depth);
+
+    EXPECT_EQ(tcp.get_file(missing, out_path + "-missing").code(), Errc::kNotFound);
+    EXPECT_EQ(bus.pipeline_depth(), depth);
+    EXPECT_FALSE(std::filesystem::exists(out_path + "-missing"));
+  }
+}
+
 TEST(ServiceHostHardening, ManyConcurrentClients) {
   HostRig rig;
   constexpr int kClients = 8;
