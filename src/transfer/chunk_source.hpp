@@ -16,7 +16,8 @@
 //  * Errc::kTransport  — connection refused/dropped, deadline, malformed
 //                        reply (the source's channel is closed for a clean
 //                        reconnect on the next call);
-//  * Errc::kUnavailable — the engine underneath stalled (no pump);
+//  * Errc::kUnavailable — the engine underneath stalled (no pump could
+//                        resolve the wait);
 //  * any typed service error travels through unchanged;
 //  * ok with EMPTY bytes — the source no longer holds the datum at that
 //    offset (engines treat this as "rotate to another source").
