@@ -7,6 +7,7 @@
 #pragma once
 
 #include <string>
+#include <system_error>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -132,7 +133,12 @@ inline Expected<std::int64_t> dr_put_start(services::ServiceContainer& c,
     return Error{Errc::kInvalidArgument, "dr",
                  "content descriptor required (size + md5) for " + data.uid.str()};
   }
-  return c.dr().stage_begin(data);
+  try {
+    return c.dr().stage_begin(data);
+  } catch (const std::system_error& error) {
+    // An in-memory repository could not make its private content dir.
+    return Error{Errc::kUnavailable, "dr", error.what()};
+  }
 }
 
 /// dr_put_chunk's reply for a staging outcome. ServiceHost's staging fast
@@ -202,8 +208,8 @@ inline Expected<std::string> dr_get_chunk(services::ServiceContainer& c, const u
 }
 
 /// The zero-copy variant (ServiceHost's kDrGetChunk fast path): same
-/// validation and error mapping as dr_get_chunk, but file-backed content
-/// comes back as an fd slice for sendfile instead of a std::string.
+/// validation and error mapping as dr_get_chunk, but the content comes
+/// back as an fd slice for sendfile instead of a std::string.
 inline Expected<rpc::ChunkRef> dr_get_chunk_ref(services::ServiceContainer& c,
                                                 const util::Auid& uid, std::int64_t offset,
                                                 std::int64_t max_bytes) {

@@ -28,25 +28,6 @@ std::string index_key(const Value& value) {
       value);
 }
 
-std::string to_display(const Value& value) {
-  return std::visit(
-      [](const auto& v) -> std::string {
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, std::monostate>) {
-          return "null";
-        } else if constexpr (std::is_same_v<T, std::int64_t>) {
-          return std::to_string(v);
-        } else if constexpr (std::is_same_v<T, double>) {
-          return util::strf("%g", v);
-        } else if constexpr (std::is_same_v<T, bool>) {
-          return v ? "true" : "false";
-        } else {
-          return v;
-        }
-      },
-      value);
-}
-
 void encode_value(rpc::Writer& writer, const Value& value) {
   std::visit(
       [&writer](const auto& v) {
@@ -114,20 +95,11 @@ double get_real(const Row& row, std::string_view column, double fallback) {
   return fallback;
 }
 
-bool get_bool(const Row& row, std::string_view column, bool fallback) {
-  const auto it = row.find(column);
-  if (it == row.end()) return fallback;
-  if (const auto* v = std::get_if<bool>(&it->second)) return *v;
-  return fallback;
-}
-
 std::string get_text(const Row& row, std::string_view column, std::string fallback) {
   const auto it = row.find(column);
   if (it == row.end()) return fallback;
   if (const auto* v = std::get_if<std::string>(&it->second)) return *v;
   return fallback;
 }
-
-bool has_column(const Row& row, std::string_view column) { return row.contains(column); }
 
 }  // namespace bitdew::db

@@ -30,9 +30,6 @@ using RowId = std::uint64_t;
 /// int64(1) and "1" never collide).
 std::string index_key(const Value& value);
 
-/// Human rendering for logs/CLI.
-std::string to_display(const Value& value);
-
 void encode_value(rpc::Writer& writer, const Value& value);
 Value decode_value(rpc::Reader& reader);
 
@@ -42,8 +39,6 @@ Row decode_row(rpc::Reader& reader);
 // Typed accessors with defaults; wrong-type columns yield the default.
 std::int64_t get_int(const Row& row, std::string_view column, std::int64_t fallback = 0);
 double get_real(const Row& row, std::string_view column, double fallback = 0);
-bool get_bool(const Row& row, std::string_view column, bool fallback = false);
 std::string get_text(const Row& row, std::string_view column, std::string fallback = {});
-bool has_column(const Row& row, std::string_view column);
 
 }  // namespace bitdew::db

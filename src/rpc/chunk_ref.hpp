@@ -1,10 +1,11 @@
 // ChunkRef: the result of a chunk read on the serving side of the data
-// plane. File-backed content travels as an owned file descriptor plus a
+// plane. Content travels as an owned file descriptor plus a
 // [offset, offset+length) slice — the transport layer ships it with
 // sendfile/pread straight into the socket, so the bytes never materialize
-// in a std::string on the way out. Small or blob-backed content (in-memory
-// stores, legacy WAL rows) rides inline. DataRepository::read_chunk_ref and
-// ChunkServer's ReadFn both speak this type.
+// in a std::string on the way out. An end-of-content marker (or a reader
+// that holds no file, such as a test's fake peer) rides inline.
+// DataRepository::read_chunk_ref and ChunkServer's ReadFn both speak this
+// type.
 #pragma once
 
 #include <cstdint>
@@ -17,7 +18,7 @@ namespace bitdew::rpc {
 
 struct ChunkRef {
   ChunkRef() = default;
-  /// Inline payload (blob-backed content, end-of-content markers).
+  /// Inline payload (end-of-content markers, readers without a file).
   explicit ChunkRef(std::string inline_bytes) : bytes(std::move(inline_bytes)) {}
   /// File-backed slice: `length` bytes at `offset` of the (owned) fd.
   ChunkRef(Fd content_file, std::int64_t slice_offset, std::int64_t slice_length)

@@ -277,7 +277,7 @@ std::optional<ReplyFrame> ServiceHost::handle_frame(std::uint64_t id,
 
 std::optional<ReplyFrame> ServiceHost::chunk_reply(const wire::FrameHeader& header,
                                                    Reader& r) {
-  // Zero-copy fast path: answer file-backed content as an fd slice the
+  // Zero-copy fast path: answer the content as an fd slice the
   // readiness loop ships with sendfile. The reply body is byte-identical to
   // what write_expected(w, Expected<string>, str) would produce — the
   // client's read_expected + r.str() cannot tell the difference.
@@ -335,7 +335,7 @@ std::optional<ReplyFrame> ServiceHost::put_chunk_reply(const wire::FrameHeader& 
   if (status.ok()) {
     dr.stage_write(slot, bytes);
     const util::LockGuard lock(container_mutex_);
-    status = api::ops::chunk_status(container_, uid, offset, dr.stage_advance(slot, bytes));
+    status = api::ops::chunk_status(container_, uid, offset, dr.stage_advance(slot));
   }
 
   ReplyFrame reply;

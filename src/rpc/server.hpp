@@ -14,13 +14,12 @@
 // SimServiceBus run, so every error code is identical over the network.
 // Ping and the ring protocol are answered by the host itself
 // (ring_dispatch). The data plane takes two fast paths. kDrGetChunk is
-// zero-copy: file-backed content is answered as a frame header + length
-// prefix plus an fd slice the loop ships with sendfile, never
-// materializing the chunk in a std::string. kDrPutChunk holds the
-// container lock only to reserve the chunk's offset and to advance the
-// stage row: a file-backed repository's bytes go from the request frame to
-// the upload's .part file under the upload's own lock, and their MD5 runs
-// after the reply.
+// zero-copy: content is answered as a frame header + length prefix plus
+// an fd slice the loop ships with sendfile, never materializing the chunk
+// in a std::string. kDrPutChunk holds the container lock only to reserve
+// the chunk's offset and to advance the stage row: the bytes go from the
+// request frame to the upload's .part file under the upload's own lock,
+// and their MD5 runs after the reply.
 // bitdewd wraps one of these in a daemon; RemoteServiceBus is the matching
 // client.
 #pragma once
@@ -133,7 +132,7 @@ class ServiceHost {
   /// connection. Runs on a worker thread.
   std::optional<ReplyFrame> handle_frame(std::uint64_t connection_id,
                                          const std::string& payload);
-  /// kDrGetChunk fast path: file-backed content answers as an fd slice.
+  /// kDrGetChunk fast path: content answers as an fd slice.
   std::optional<ReplyFrame> chunk_reply(const wire::FrameHeader& header, Reader& body);
   /// kDrPutChunk fast path: stages the chunk with the container lock held
   /// only around its row steps, and hashes it in the reply's continuation.

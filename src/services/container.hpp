@@ -35,7 +35,9 @@ namespace bitdew::services {
 
 class ServiceContainer {
  public:
-  /// In-memory persistence (simulations, tests).
+  /// In-memory persistence (simulations, tests). Uploaded content still
+  /// goes to files: the repository makes a private dir under the temp
+  /// directory at its first upload and removes it with the container.
   ServiceContainer(std::string host_name, const util::Clock& clock,
                    SchedulerConfig scheduler_config = {})
       : database_(std::make_unique<db::Database>()),
@@ -49,10 +51,10 @@ class ServiceContainer {
   }
 
   /// WAL-backed persistence (the LocalRuntime, bitdewd). Replays the WAL
-  /// and restores the scheduler's Θ from the previous run. Content rides
-  /// FILE-BACKED beside the WAL (`<wal_path>.content/`): uploads stream to
-  /// disk instead of through the database, and chunk reads serve fd slices
-  /// for the zero-copy data plane.
+  /// and restores the scheduler's Θ from the previous run. Content lives
+  /// beside the WAL (`<wal_path>.content/`), where it survives restarts:
+  /// uploads stream to disk instead of through the database, and chunk
+  /// reads serve fd slices for the zero-copy data plane.
   ServiceContainer(std::string host_name, const util::Clock& clock, const std::string& wal_path,
                    SchedulerConfig scheduler_config = {})
       : database_(std::make_unique<db::Database>(wal_path)),

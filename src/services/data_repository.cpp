@@ -5,10 +5,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 #include <system_error>
-#include <variant>
 
 #include "util/md5.hpp"
 #include "util/thread_annotations.hpp"
@@ -19,13 +20,22 @@ using rpc::Fd;
 
 namespace {
 
+// A WAL written before content was always a file may also hold a
+// "dr_chunk" table; it replays empty and nothing reads it.
 constexpr const char* kObjectTable = "dr_object";    // published descriptors
-constexpr const char* kContentTable = "dr_content";  // published content blobs / paths
+constexpr const char* kContentTable = "dr_content";  // published content paths
 constexpr const char* kStageTable = "dr_stage";      // in-flight upload state
-constexpr const char* kChunkTable = "dr_chunk";      // in-flight upload chunks (blob mode)
 
-std::string chunk_key(const std::string& uid_key, std::int64_t index) {
-  return uid_key + "#" + std::to_string(index);
+/// Makes a private content dir under the temp directory. Throws
+/// std::system_error naming the path when it cannot.
+std::string make_private_dir() {
+  // temp_directory_path() throws a filesystem_error naming $TMPDIR when it
+  // is not a directory.
+  std::string path = (std::filesystem::temp_directory_path() / "bitdew-content-XXXXXX").string();
+  if (::mkdtemp(path.data()) == nullptr) {
+    throw std::system_error(errno, std::generic_category(), "cannot create content dir " + path);
+  }
+  return path;
 }
 
 /// pread the exact range [offset, offset+length) into a string; shorter on
@@ -64,7 +74,7 @@ bool pwrite_all(int fd, std::string_view bytes, std::int64_t offset) {
 
 }  // namespace
 
-/// A live file-backed upload: its .part file and the MD5 over the file's
+/// A live upload: its .part file and the MD5 over the file's
 /// bytes in offset order. `claimed` marks a reserved chunk that has not
 /// advanced yet; like the uploads_ map it is touched only by the row-side
 /// calls. A retired upload stays allocated while slots still hold it.
@@ -151,8 +161,7 @@ DataRepository::DataRepository(db::Database& database, std::string host_name,
   database_.create_table(db::TableSchema{kObjectTable, "uid", {}});
   database_.create_table(db::TableSchema{kContentTable, "uid", {}});
   database_.create_table(db::TableSchema{kStageTable, "uid", {}});
-  database_.create_table(db::TableSchema{kChunkTable, "key", {}});
-  if (file_backed()) {
+  if (!content_dir_.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(content_dir_, ec);
     if (!ec && !std::filesystem::is_directory(content_dir_, ec)) {
@@ -162,6 +171,12 @@ DataRepository::DataRepository(db::Database& database, std::string host_name,
       throw std::runtime_error("cannot create content dir " + content_dir_ + ": " + ec.message());
     }
   }
+}
+
+DataRepository::~DataRepository() {
+  if (!private_dir_) return;
+  std::error_code ec;
+  std::filesystem::remove_all(content_dir_, ec);
 }
 
 std::string DataRepository::content_path(const std::string& uid_key) const {
@@ -207,19 +222,6 @@ std::optional<core::Content> DataRepository::get(const util::Auid& uid) const {
   return content;
 }
 
-std::optional<core::Locator> DataRepository::locator(const util::Auid& uid,
-                                                     const std::string& protocol) const {
-  const db::Table* table = database_.table(kObjectTable);
-  const auto id = table->by_primary(db::Value{uid.str()});
-  if (!id.has_value()) return std::nullopt;
-  core::Locator locator;
-  locator.data_uid = uid;
-  locator.protocol = protocol;
-  locator.host = host_;
-  locator.path = db::get_text(*table->get(*id), "path");
-  return locator;
-}
-
 bool DataRepository::exists(const util::Auid& uid) const {
   return database_.table(kObjectTable)->by_primary(db::Value{uid.str()}).has_value();
 }
@@ -227,16 +229,11 @@ bool DataRepository::exists(const util::Auid& uid) const {
 bool DataRepository::remove(const util::Auid& uid) {
   stage_discard(uid);
   const std::string uid_key = uid.str();
-  if (db::Table* content = database_.table(kContentTable)) {
-    if (const auto id = content->by_primary(db::Value{uid_key})) {
-      const db::Row& row = *content->get(*id);
-      const auto path = row.find("path");
-      if (path != row.end() && std::holds_alternative<std::string>(path->second)) {
-        std::error_code ec;
-        std::filesystem::remove(std::get<std::string>(path->second), ec);
-      }
-      database_.erase(kContentTable, *id);
-    }
+  const db::Table* content = database_.table(kContentTable);
+  if (const auto id = content->by_primary(db::Value{uid_key})) {
+    std::error_code ec;
+    std::filesystem::remove(db::get_text(*content->get(*id), "path"), ec);
+    database_.erase(kContentTable, *id);
   }
   db::Table* table = database_.table(kObjectTable);
   const auto id = table->by_primary(db::Value{uid_key});
@@ -261,6 +258,10 @@ void DataRepository::retire_upload(const std::string& uid_key) {
 }
 
 std::int64_t DataRepository::stage_begin(const core::Data& data) {
+  if (content_dir_.empty()) {
+    content_dir_ = make_private_dir();
+    private_dir_ = true;
+  }
   db::Table* table = database_.table(kStageTable);
   const std::string uid_key = data.uid.str();
   // Resume or restart alike: chunks reserved before this call land nothing.
@@ -269,36 +270,25 @@ std::int64_t DataRepository::stage_begin(const core::Data& data) {
     const db::Row& row = *table->get(*id);
     if (db::get_int(row, "size") == data.size &&
         db::get_text(row, "checksum") == data.checksum) {
+      // A crash can leave the .part file longer than the durable `received`
+      // watermark (bytes landed, row update didn't). Truncate back so the
+      // resumed sender's offsets line up with the file.
       const std::int64_t received = db::get_int(row, "received");
-      if (file_backed()) {
-        // A crash can leave the .part file longer than the durable
-        // `received` watermark (bytes landed, row update didn't). Truncate
-        // back so the resumed sender's offsets line up with the file.
-        std::error_code ec;
-        std::filesystem::resize_file(part_path(uid_key),
-                                     static_cast<std::uintmax_t>(received), ec);
-        if (ec) {
-          // .part vanished under a live stage: restart from scratch.
-          drop_stage_rows(uid_key, db::get_int(row, "chunks"));
-          database_.erase(kStageTable, *id);
-          return stage_begin(data);
-        }
-      }
-      return received;  // resume
+      std::error_code ec;
+      std::filesystem::resize_file(part_path(uid_key), static_cast<std::uintmax_t>(received),
+                                   ec);
+      if (!ec) return received;  // resume
     }
-    // The datum's content changed under the stage: restart from scratch.
-    drop_stage_rows(uid_key, db::get_int(row, "chunks"));
+    // The datum's content changed under the stage, or its .part vanished:
+    // restart from scratch.
     database_.erase(kStageTable, *id);
   }
-  if (file_backed()) {
-    // An empty .part for the chunks to land in (and for an empty datum to
-    // commit by renaming).
-    const Fd fd{::open(part_path(uid_key).c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644)};
-  }
+  // An empty .part for the chunks to land in (and for an empty datum to
+  // commit by renaming).
+  const Fd fd{::open(part_path(uid_key).c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644)};
   db::Row row;
   row["uid"] = uid_key;
   row["received"] = std::int64_t{0};
-  row["chunks"] = std::int64_t{0};
   row["size"] = data.size;
   row["checksum"] = data.checksum;
   database_.insert(kStageTable, std::move(row));
@@ -312,7 +302,7 @@ ChunkResult DataRepository::stage_chunk(const util::Auid& uid, std::int64_t offs
       stage_reserve(uid, offset, static_cast<std::int64_t>(bytes.size()), slot);
   if (result != ChunkResult::kOk) return result;
   stage_write(slot, bytes);
-  result = stage_advance(slot, bytes);
+  result = stage_advance(slot);
   if (result == ChunkResult::kOk) stage_hash(slot, bytes);
   return result;
 }
@@ -329,12 +319,10 @@ ChunkResult DataRepository::stage_reserve(const util::Auid& uid, std::int64_t of
   const std::int64_t received = db::get_int(stage, "received");
   if (offset != received) return ChunkResult::kBadOffset;
   if (received + length > db::get_int(stage, "size")) return ChunkResult::kOversize;
-  if (file_backed()) {
-    std::shared_ptr<StagedUpload> upload = live_upload(uid_key, received);
-    if (upload->claimed) return ChunkResult::kBadOffset;  // a racing chunk holds it
-    upload->claimed = true;
-    slot.upload = std::move(upload);
-  }
+  std::shared_ptr<StagedUpload> upload = live_upload(uid_key, received);
+  if (upload->claimed) return ChunkResult::kBadOffset;  // a racing chunk holds it
+  upload->claimed = true;
+  slot.upload = std::move(upload);
   slot.uid_key = uid_key;
   slot.offset = offset;
   slot.length = length;
@@ -342,20 +330,13 @@ ChunkResult DataRepository::stage_reserve(const util::Auid& uid, std::int64_t of
 }
 
 void DataRepository::stage_write(StageSlot& slot, std::string_view bytes) {
-  if (slot.upload == nullptr) {
-    slot.written = true;  // blob mode: the bytes go into the chunk row at advance
-    return;
-  }
   slot.written = slot.upload->write(slot.offset, bytes);  // the bytes never enter the database
 }
 
-ChunkResult DataRepository::stage_advance(StageSlot& slot, std::string_view bytes) {
-  bool current = true;
-  if (slot.upload != nullptr) {
-    const auto live = uploads_.find(slot.uid_key);
-    current = live != uploads_.end() && live->second == slot.upload;
-    if (current) slot.upload->claimed = false;
-  }
+ChunkResult DataRepository::stage_advance(StageSlot& slot) {
+  const auto live = uploads_.find(slot.uid_key);
+  const bool current = live != uploads_.end() && live->second == slot.upload;
+  if (current) slot.upload->claimed = false;
   db::Table* table = database_.table(kStageTable);
   const auto id = table->by_primary(db::Value{slot.uid_key});
   if (!id.has_value()) return ChunkResult::kNoStage;
@@ -363,22 +344,14 @@ ChunkResult DataRepository::stage_advance(StageSlot& slot, std::string_view byte
   if (!slot.written) return ChunkResult::kNoStage;  // the .part refused the bytes
   db::Row stage = *table->get(*id);
   const std::int64_t received = db::get_int(stage, "received");
-  const std::int64_t chunks = db::get_int(stage, "chunks");
   if (received != slot.offset) return ChunkResult::kBadOffset;
-  if (!file_backed()) {
-    db::Row chunk;
-    chunk["key"] = chunk_key(slot.uid_key, chunks);
-    chunk["bytes"] = std::string(bytes);
-    database_.insert(kChunkTable, std::move(chunk));
-  }
   stage["received"] = received + slot.length;
-  stage["chunks"] = chunks + 1;
   database_.update(kStageTable, *id, std::move(stage));
   return ChunkResult::kOk;
 }
 
 void DataRepository::stage_hash(const StageSlot& slot, std::string_view bytes) {
-  if (slot.upload != nullptr) slot.upload->hash(slot.offset, bytes);
+  slot.upload->hash(slot.offset, bytes);
 }
 
 CommitResult DataRepository::stage_commit(const util::Auid& uid, const std::string& protocol,
@@ -389,57 +362,31 @@ CommitResult DataRepository::stage_commit(const util::Auid& uid, const std::stri
   if (!id.has_value()) return CommitResult::kNoStage;
   const db::Row stage = *table->get(*id);
   const std::int64_t size = db::get_int(stage, "size");
-  const std::int64_t chunks = db::get_int(stage, "chunks");
   if (db::get_int(stage, "received") < size) return CommitResult::kIncomplete;
 
-  std::string digest;
-  std::string content_bytes;  // blob mode only
-  if (file_backed()) {
-    // The MD5 accumulated chunk by chunk (or replays the .part file once
-    // after a restart): commit waits for the chunks still hashing and never
-    // materializes the content.
-    digest = live_upload(uid_key, size)->digest(size);
-    retire_upload(uid_key);
-  } else {
-    // Assemble in arrival order, accumulating the MD5 over the whole content.
-    const db::Table* chunk_table = database_.table(kChunkTable);
-    util::Md5 hasher;
-    content_bytes.reserve(static_cast<std::size_t>(size));
-    for (std::int64_t i = 0; i < chunks; ++i) {
-      const auto chunk_id = chunk_table->by_primary(db::Value{chunk_key(uid_key, i)});
-      if (!chunk_id.has_value()) continue;  // lost chunk row surfaces as a bad MD5
-      const std::string bytes = db::get_text(*chunk_table->get(*chunk_id), "bytes");
-      hasher.update(bytes);
-      content_bytes += bytes;
-    }
-    digest = hasher.finish().hex();
-  }
+  // The MD5 accumulated chunk by chunk (or replays the .part file once
+  // after a restart): commit waits for the chunks still hashing and never
+  // materializes the content.
+  const std::string digest = live_upload(uid_key, size)->digest(size);
+  retire_upload(uid_key);
 
   // The stage is consumed either way: a mismatch must not leave poisoned
   // bytes behind for the next attempt to resume onto.
-  drop_stage_rows(uid_key, chunks);
   database_.erase(kStageTable, *id);
 
+  std::error_code ec;
   if (digest != db::get_text(stage, "checksum")) {
-    if (file_backed()) {
-      std::error_code ec;
-      std::filesystem::remove(part_path(uid_key), ec);
-    }
+    std::filesystem::remove(part_path(uid_key), ec);
     return CommitResult::kChecksumMismatch;
   }
 
+  // Bytes first, descriptor after: a failed rename publishes nothing.
+  const std::string published = content_path(uid_key);
+  std::filesystem::rename(part_path(uid_key), published, ec);
+  if (ec) return CommitResult::kNoStage;  // staged bytes vanished underneath
   db::Row content;
   content["uid"] = uid_key;
-  if (file_backed()) {
-    // Bytes first, descriptor after: a failed rename publishes nothing.
-    const std::string published = content_path(uid_key);
-    std::error_code ec;
-    std::filesystem::rename(part_path(uid_key), published, ec);
-    if (ec) return CommitResult::kNoStage;  // staged bytes vanished underneath
-    content["path"] = published;
-  } else {
-    content["bytes"] = std::move(content_bytes);
-  }
+  content["path"] = published;
 
   core::Data data;
   data.uid = uid;
@@ -461,29 +408,18 @@ void DataRepository::stage_discard(const util::Auid& uid) {
   db::Table* table = database_.table(kStageTable);
   const std::string uid_key = uid.str();
   retire_upload(uid_key);
-  if (file_backed()) {
+  if (!content_dir_.empty()) {  // empty: nothing was ever staged here
     std::error_code ec;
     std::filesystem::remove(part_path(uid_key), ec);
   }
   const auto id = table->by_primary(db::Value{uid_key});
-  if (!id.has_value()) return;
-  drop_stage_rows(uid_key, db::get_int(*table->get(*id), "chunks"));
-  database_.erase(kStageTable, *id);
+  if (id.has_value()) database_.erase(kStageTable, *id);
 }
 
 std::int64_t DataRepository::stage_received(const util::Auid& uid) const {
   const db::Table* table = database_.table(kStageTable);
   const auto id = table->by_primary(db::Value{uid.str()});
   return id.has_value() ? db::get_int(*table->get(*id), "received") : 0;
-}
-
-void DataRepository::drop_stage_rows(const std::string& uid_key, std::int64_t chunk_count) {
-  const db::Table* chunk_table = database_.table(kChunkTable);
-  for (std::int64_t i = 0; i < chunk_count; ++i) {
-    if (const auto id = chunk_table->by_primary(db::Value{chunk_key(uid_key, i)})) {
-      database_.erase(kChunkTable, *id);
-    }
-  }
 }
 
 // --- chunked reads ------------------------------------------------------------
@@ -493,7 +429,7 @@ std::optional<std::string> DataRepository::read_bytes(const util::Auid& uid,
                                                       std::int64_t max_bytes) const {
   auto chunk = read_chunk_ref(uid, offset, max_bytes);
   if (!chunk.has_value()) return std::nullopt;
-  if (!chunk->file_backed()) return std::move(chunk->bytes);
+  if (!chunk->file_backed()) return std::move(chunk->bytes);  // end of content
   // A string is what the caller asked for: materialize the slice (and
   // account for the copy — this is the path the zero-copy plane bypasses).
   auto bytes = pread_range(chunk->file.get(), chunk->offset, chunk->length);
@@ -509,37 +445,17 @@ std::optional<rpc::ChunkRef> DataRepository::read_chunk_ref(const util::Auid& ui
   const db::Table* table = database_.table(kContentTable);
   const auto id = table->by_primary(db::Value{uid.str()});
   if (!id.has_value()) return std::nullopt;
-  const db::Row& row = *table->get(*id);
-
-  const auto path_it = row.find("path");
-  if (path_it != row.end() && std::holds_alternative<std::string>(path_it->second)) {
-    Fd fd{::open(std::get<std::string>(path_it->second).c_str(), O_RDONLY | O_CLOEXEC)};
-    if (!fd.valid()) return std::nullopt;
-    struct stat st{};
-    if (::fstat(fd.get(), &st) != 0) return std::nullopt;
-    const auto size = static_cast<std::int64_t>(st.st_size);
-    if (offset < 0 || offset >= size) return rpc::ChunkRef(std::string{});
-    const std::int64_t take = std::min<std::int64_t>(max_bytes, size - offset);
-    chunk_reads_.fetch_add(1, std::memory_order_relaxed);
-    chunk_read_bytes_.fetch_add(take, std::memory_order_relaxed);
-    slice_reads_.fetch_add(1, std::memory_order_relaxed);
-    return rpc::ChunkRef(std::move(fd), offset, take);
-  }
-
-  const auto it = row.find("bytes");
-  if (it == row.end()) return std::nullopt;
-  const std::string* bytes = std::get_if<std::string>(&it->second);
-  if (bytes == nullptr) return std::nullopt;
-  if (offset < 0 || offset >= static_cast<std::int64_t>(bytes->size())) {
-    return rpc::ChunkRef(std::string{});
-  }
-  const std::int64_t take =
-      std::min<std::int64_t>(max_bytes, static_cast<std::int64_t>(bytes->size()) - offset);
+  Fd fd{::open(db::get_text(*table->get(*id), "path").c_str(), O_RDONLY | O_CLOEXEC)};
+  if (!fd.valid()) return std::nullopt;
+  struct stat st{};
+  if (::fstat(fd.get(), &st) != 0) return std::nullopt;
+  const auto size = static_cast<std::int64_t>(st.st_size);
+  if (offset < 0 || offset >= size) return rpc::ChunkRef(std::string{});
+  const std::int64_t take = std::min<std::int64_t>(max_bytes, size - offset);
   chunk_reads_.fetch_add(1, std::memory_order_relaxed);
   chunk_read_bytes_.fetch_add(take, std::memory_order_relaxed);
-  blob_copies_.fetch_add(1, std::memory_order_relaxed);
-  return rpc::ChunkRef(
-      bytes->substr(static_cast<std::size_t>(offset), static_cast<std::size_t>(take)));
+  slice_reads_.fetch_add(1, std::memory_order_relaxed);
+  return rpc::ChunkRef(std::move(fd), offset, take);
 }
 
 bool DataRepository::has_bytes(const util::Auid& uid) const {

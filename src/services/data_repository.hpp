@@ -1,6 +1,6 @@
 // Data Repository (DR): the interface to persistent storage with remote
-// access (paper §3.4.2) — a wrapper around a legacy store (here DewDB
-// object descriptors plus content blobs).
+// access (paper §3.4.2) — a wrapper around a legacy store: DewDB holds the
+// object descriptors, and the content bytes live beside it as files.
 //
 // Two planes feed it:
 //  * the metadata path: put() registers a content *descriptor* for a data
@@ -9,19 +9,19 @@
 //  * the data path (PR 3): chunked out-of-band uploads. stage_begin /
 //    stage_chunk / stage_commit accept a file in fixed-size chunks, keep a
 //    partial upload across a daemon restart (it resumes at the returned
-//    offset), verify the assembled bytes' MD5 against the datum's
-//    registered checksum at commit, and only then publish the content for
-//    read_bytes() to serve.
+//    offset), verify the staged bytes' MD5 against the datum's registered
+//    checksum at commit, and only then publish the content for
+//    read_chunk_ref() to serve.
 //
-// A file-backed repository (every WAL-backed container) writes each chunk
-// to `<content_dir>/<uid>.part`; the WAL holds only the upload's stage row
-// (its received-bytes watermark). A chunk is staged in four steps: reserve
-// and advance touch the stage row under the lock that serializes the
-// repository (ServiceHost's container lock); write and hash take only the
-// upload's own locks. A ServiceHost replies once the row has advanced and
-// runs the MD5 after the reply, outside the container lock; commit waits
-// for those hashes. Blob mode (in-memory containers) keeps staged chunks as
-// database rows and hashes them at commit.
+// Every chunk is written to `<content_dir>/<uid>.part`; the database holds
+// only the upload's stage row (its received-bytes watermark). A WAL-backed
+// container keeps its content dir beside the WAL, and an in-memory one a
+// private dir under the temp directory. A chunk is staged in four steps:
+// reserve and advance touch the stage row under the lock that serializes
+// the repository (ServiceHost's container lock); write and hash take only
+// the upload's own locks. A ServiceHost replies once the row has advanced
+// and runs the MD5 after the reply, outside the container lock; commit
+// waits for those hashes, then renames the .part into place.
 #pragma once
 
 #include <atomic>
@@ -51,10 +51,11 @@ struct RepoStats {
   std::int64_t chunk_read_bytes = 0;  ///< total content bytes served
   // Zero-copy accounting (the acceptance check for the epoll data plane):
   // every chunk read either materialized the payload in a std::string
-  // (blob_copies) or handed out an fd slice for sendfile (slice_reads). A
-  // file-backed repository serving dr_get_chunk over the wire must show
-  // slice_reads > 0 and blob_copies == 0.
-  std::uint64_t blob_copies = 0;  ///< reads answered via an in-memory copy
+  // (blob_copies: read_bytes, the Direct/Sim dr_get_chunk path) or handed
+  // out an fd slice for sendfile (slice_reads). A repository serving
+  // dr_get_chunk over the wire must show slice_reads > 0 and
+  // blob_copies == 0.
+  std::uint64_t blob_copies = 0;  ///< reads copied into a std::string
   std::uint64_t slice_reads = 0;  ///< reads answered as a content-file slice
 
   friend bool operator==(const RepoStats&, const RepoStats&) = default;
@@ -82,7 +83,7 @@ enum class CommitResult {
   kChecksumMismatch,  ///< assembled MD5 differs from the registered checksum
 };
 
-/// The per-upload state of a file-backed stage (data_repository.cpp).
+/// The per-upload state of a stage (data_repository.cpp).
 class StagedUpload;
 
 /// One chunk admitted by DataRepository::stage_reserve(): where it lands
@@ -92,24 +93,28 @@ struct StageSlot {
   std::string uid_key;
   std::int64_t offset = 0;
   std::int64_t length = 0;
-  std::shared_ptr<StagedUpload> upload;  ///< null in blob mode
-  bool written = false;                  ///< stage_write() landed the bytes
+  std::shared_ptr<StagedUpload> upload;
+  bool written = false;  ///< stage_write() landed the bytes
 };
 
 class DataRepository {
  public:
   /// `host_name` is the service host this repository is reachable at.
-  /// `content_dir` switches the repository into FILE-BACKED content mode:
-  /// staged uploads stream straight into `<content_dir>/<uid>.part` (chunk
-  /// bytes never pass through the database), the incremental MD5 runs as
-  /// chunks arrive, and commit is a rename — publishing stores only the
-  /// content path, so reads can be served as fd slices (read_chunk_ref)
-  /// with zero intermediate copies. Empty = legacy blob mode (content
-  /// bytes live in the dr_content table; in-memory containers). Throws
+  /// Content lives in `content_dir`: staged uploads stream straight into
+  /// `<content_dir>/<uid>.part` (chunk bytes never pass through the
+  /// database), the incremental MD5 runs as chunks arrive, and commit is a
+  /// rename — publishing stores only the content path, so reads are served
+  /// as fd slices (read_chunk_ref) with zero intermediate copies. Throws
   /// std::runtime_error naming the path when `content_dir` cannot be
-  /// created, as db::Database does for a WAL it cannot open.
+  /// created, as db::Database does for a WAL it cannot open. Empty means a
+  /// private dir under the temp directory ($TMPDIR), made by the first
+  /// stage_begin and removed with the repository; a process killed with
+  /// SIGKILL leaves it behind.
   DataRepository(db::Database& database, std::string host_name,
                  std::string content_dir = "");
+  ~DataRepository();
+  DataRepository(const DataRepository&) = delete;
+  DataRepository& operator=(const DataRepository&) = delete;
 
   /// Stores a content descriptor for a data slot; returns the locator
   /// clients should use with `protocol` to fetch it. Re-putting overwrites.
@@ -119,9 +124,6 @@ class DataRepository {
   /// Content descriptor for a slot, if stored here.
   std::optional<core::Content> get(const util::Auid& uid) const;
 
-  /// Locator for a previously stored slot (protocol may differ per call).
-  std::optional<core::Locator> locator(const util::Auid& uid, const std::string& protocol) const;
-
   bool exists(const util::Auid& uid) const;
   /// Removes descriptor, published bytes and any staged upload.
   bool remove(const util::Auid& uid);
@@ -130,6 +132,8 @@ class DataRepository {
   /// Opens (or resumes) a staged upload for `data` and returns the number of
   /// bytes already durably held — the offset the sender must continue from.
   /// A stage whose declared size/checksum no longer match `data` is reset.
+  /// Throws std::system_error naming the path when a private content dir
+  /// cannot be made.
   std::int64_t stage_begin(const core::Data& data);
 
   /// Appends one chunk at `offset` (must equal the bytes received so far):
@@ -149,14 +153,14 @@ class DataRepository {
   ChunkResult stage_reserve(const util::Auid& uid, std::int64_t offset, std::int64_t length,
                             StageSlot& slot);
   /// Step 2: writes the bytes to the upload's .part file under the
-  /// upload's write lock. Blob mode stores them at advance instead.
+  /// upload's write lock.
   void stage_write(StageSlot& slot, std::string_view bytes);
   /// Step 3: releases the claim and moves the stage row past the chunk.
   /// kOk means the bytes are staged; the chunk's MD5 may still be pending.
-  ChunkResult stage_advance(StageSlot& slot, std::string_view bytes);
+  ChunkResult stage_advance(StageSlot& slot);
   /// Step 4: folds the chunk into the upload's MD5, in offset order: waits
   /// for the chunks before it, holding neither the caller's lock nor the
-  /// write lock. No-op in blob mode (commit hashes the chunk rows).
+  /// write lock.
   void stage_hash(const StageSlot& slot, std::string_view bytes);
 
   /// Verifies the staged bytes' MD5 against the checksum declared at
@@ -180,11 +184,10 @@ class DataRepository {
   std::optional<std::string> read_bytes(const util::Auid& uid, std::int64_t offset,
                                         std::int64_t max_bytes) const;
 
-  /// The zero-copy read: like read_bytes, but file-backed content is
-  /// returned as an owned fd + [offset, length) slice instead of a
-  /// std::string, so the transport can sendfile it straight into the
-  /// socket. Blob-backed content still rides inline (and counts as a blob
-  /// copy). nullopt when no bytes are stored here.
+  /// The zero-copy read: like read_bytes, but the content is returned as
+  /// an owned fd + [offset, length) slice instead of a std::string, so the
+  /// transport can sendfile it straight into the socket. nullopt when no
+  /// bytes are stored here.
   std::optional<rpc::ChunkRef> read_chunk_ref(const util::Auid& uid, std::int64_t offset,
                                               std::int64_t max_bytes) const;
 
@@ -199,8 +202,6 @@ class DataRepository {
   const std::string& host_name() const { return host_; }
 
  private:
-  void drop_stage_rows(const std::string& uid_key, std::int64_t chunk_count);
-  bool file_backed() const { return !content_dir_.empty(); }
   std::string content_path(const std::string& uid_key) const;
   std::string part_path(const std::string& uid_key) const;
   /// The live upload of `uid_key`; a new one when there is none, whose
@@ -212,8 +213,11 @@ class DataRepository {
 
   db::Database& database_;
   std::string host_;
-  std::string content_dir_;  ///< empty = blob mode
-  /// Live file-backed uploads by uid. Soft state: an upload's MD5 is
+  /// Empty until stage_begin makes the private dir. Touched only under the
+  /// lock that serializes the repository.
+  std::string content_dir_;
+  bool private_dir_ = false;  ///< content_dir_ is ours to remove
+  /// Live uploads by uid. Soft state: an upload's MD5 is
   /// rebuilt from its .part file after a restart. Touched only by the
   /// row-side calls, under the lock that serializes the repository.
   std::unordered_map<std::string, std::shared_ptr<StagedUpload>> uploads_;

@@ -640,12 +640,4 @@ std::vector<HostInfo> DataScheduler::host_table() const {
   return out;
 }
 
-std::vector<HostName> DataScheduler::known_hosts() const {
-  std::vector<HostName> out;
-  out.reserve(hosts_.size());
-  for (const auto& [host, state] : hosts_) out.push_back(host);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 }  // namespace bitdew::services

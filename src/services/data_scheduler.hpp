@@ -210,7 +210,6 @@ class DataScheduler {
   std::size_t scheduled_count() const { return theta_.size(); }
   std::optional<ScheduledData> scheduled(const util::Auid& uid) const;
   bool host_alive(const HostName& host) const;
-  std::vector<HostName> known_hosts() const;
   /// The failure detector's host table, sorted by name.
   std::vector<HostInfo> host_table() const;
   const SchedulerStats& stats() const { return stats_; }

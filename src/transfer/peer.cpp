@@ -84,17 +84,10 @@ Status PeerTransfer::get_file(const core::Data& data, const std::string& path,
     peers.push_back(std::move(source));
   }
 
-  services::TicketId ticket = 0;
-  if (config_.track_ticket) {
-    auto registered = std::make_shared<std::optional<Expected<services::TicketId>>>();
-    bus_.dt_register(data, peers.empty() ? "dr" : "peers", config_.local_name, kPeerProtocol,
-                     [registered](Expected<services::TicketId> reply) {
-                       *registered = std::move(reply);
-                     });
-    if (registered->has_value() && (*registered)->ok()) ticket = ***registered;
-  }
-
-  ProgressReport progress(bus_, ticket);
+  ProgressReport progress(
+      bus_, config_.track_ticket ? open_ticket(bus_, nullptr, data, peers.empty() ? "dr" : "peers",
+                                               config_.local_name, kPeerProtocol)
+                                 : 0);
   Status outcome = ok_status();
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
     if (attempt > 0) {

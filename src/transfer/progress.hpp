@@ -1,18 +1,59 @@
-// ProgressReport: a transfer's dt_monitor reports to the Data Transfer
-// service, paced to the DT monitoring period (services::kMonitorPeriodS)
-// rather than sent once per chunk, and the ticket's closing report. Over a
-// synchronous bus every report is a control round trip; at the paper's
-// 500 ms a 64 MiB transfer sends none or one instead of 256.
+// A transfer's ticket with the Data Transfer service: open_ticket()
+// registers it, and ProgressReport sends its dt_monitor reports, paced to
+// the DT monitoring period (services::kMonitorPeriodS) rather than sent
+// once per chunk, and its closing report. Over a synchronous bus every
+// report is a control round trip; at the paper's 500 ms a 64 MiB transfer
+// sends none or one instead of 256.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <string>
 
 #include "api/service_bus.hpp"
+#include "core/data.hpp"
 #include "services/data_transfer.hpp"
 
 namespace bitdew::transfer {
+
+/// Advances the engine while a transfer waits for a reply (one simulator
+/// step); null means the bus's own pump(), which completes a pipelined
+/// RemoteServiceBus call and has nothing to do on Direct.
+using Pump = std::function<bool()>;
+
+/// Issues one bus call and pumps until its reply lands; kUnavailable when
+/// nothing can make progress.
+template <typename T>
+api::Expected<T> await_reply(api::ServiceBus& bus, const Pump& pump,
+                             const std::function<void(api::Reply<api::Expected<T>>)>& issue) {
+  auto slot = std::make_shared<std::optional<api::Expected<T>>>();
+  issue([slot](api::Expected<T> value) { *slot = std::move(value); });
+  while (!slot->has_value()) {
+    if (!(pump ? pump() : bus.pump())) {
+      return api::Error{api::Errc::kUnavailable, "transfer", "stalled waiting for a reply"};
+    }
+  }
+  return std::move(**slot);
+}
+
+/// Registers a transfer of `data` from `source` to `destination` with the
+/// DT service and returns its ticket. Waits for the reply through `pump`,
+/// so a pipelined bus cannot defer the registration past the transfer. 0
+/// (untracked) on any failure: the data path must not depend on
+/// control-plane health.
+inline services::TicketId open_ticket(api::ServiceBus& bus, const Pump& pump,
+                                      const core::Data& data, const std::string& source,
+                                      const std::string& destination,
+                                      const std::string& protocol) {
+  const api::Expected<services::TicketId> ticket = await_reply<services::TicketId>(
+      bus, pump, [&](api::Reply<api::Expected<services::TicketId>> done) {
+        bus.dt_register(data, source, destination, protocol, std::move(done));
+      });
+  return ticket.ok() ? *ticket : 0;
+}
 
 class ProgressReport {
  public:

@@ -4,7 +4,6 @@
 #include <deque>
 #include <fstream>
 #include <memory>
-#include <optional>
 
 #include "services/data_repository.hpp"
 #include "transfer/chunk_source.hpp"
@@ -54,29 +53,6 @@ TcpTransfer::TcpTransfer(api::ServiceBus& bus, TcpConfig config, Pump pump)
   config_.max_attempts = std::max(config_.max_attempts, 1);
 }
 
-template <typename T>
-Expected<T> TcpTransfer::wait(std::function<void(api::Reply<Expected<T>>)> issue) {
-  auto slot = std::make_shared<std::optional<Expected<T>>>();
-  issue([slot](Expected<T> value) { *slot = std::move(value); });
-  while (!slot->has_value()) {
-    if (!(pump_ ? pump_() : bus_.pump())) {
-      return Error{Errc::kUnavailable, "tcp", "stalled waiting for a data-plane reply"};
-    }
-  }
-  return std::move(**slot);
-}
-
-// --- DT-service bookkeeping ---------------------------------------------------
-
-services::TicketId TcpTransfer::open_ticket(const core::Data& data, bool upload) {
-  if (!config_.track_ticket) return 0;
-  auto ticket = wait<services::TicketId>([&](api::Reply<Expected<services::TicketId>> done) {
-    bus_.dt_register(data, upload ? config_.local_name : "dr",
-                     upload ? "dr" : config_.local_name, kTcpProtocol, std::move(done));
-  });
-  return ticket.ok() ? *ticket : 0;
-}
-
 // --- upload -------------------------------------------------------------------
 
 Status TcpTransfer::put_file(const core::Data& data, const std::string& path) {
@@ -94,8 +70,10 @@ Status TcpTransfer::put_file(const core::Data& data, const std::string& path) {
 }
 
 Status TcpTransfer::upload(const core::Data& data, const std::string& path) {
-  const services::TicketId ticket = open_ticket(data, /*upload=*/true);
-  ProgressReport progress(bus_, ticket);
+  ProgressReport progress(
+      bus_, config_.track_ticket
+                ? open_ticket(bus_, pump_, data, config_.local_name, "dr", kTcpProtocol)
+                : 0);
   core::Locator locator;
   Status outcome = ok_status();
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
@@ -106,7 +84,7 @@ Status TcpTransfer::upload(const core::Data& data, const std::string& path) {
 
   if (outcome.ok()) {
     // Publish the minted locator so readers can find this replica.
-    outcome = wait<api::Unit>([&](api::Reply<Status> done) {
+    outcome = await_reply<api::Unit>(bus_, pump_, [&](api::Reply<Status> done) {
       bus_.dc_add_locator(locator, std::move(done));
     });
   }
@@ -116,8 +94,10 @@ Status TcpTransfer::upload(const core::Data& data, const std::string& path) {
 
 Status TcpTransfer::put_round(const core::Data& data, const std::string& path,
                               ProgressReport& progress, core::Locator* locator_out) {
-  const Expected<std::int64_t> start = wait<std::int64_t>(
-      [&](api::Reply<Expected<std::int64_t>> done) { bus_.dr_put_start(data, std::move(done)); });
+  const Expected<std::int64_t> start =
+      await_reply<std::int64_t>(bus_, pump_, [&](api::Reply<Expected<std::int64_t>> done) {
+        bus_.dr_put_start(data, std::move(done));
+      });
   if (!start.ok()) return Status(start.error());
   std::int64_t offset = *start;
   if (offset > 0) ++stats_.resumes;
@@ -134,7 +114,7 @@ Status TcpTransfer::put_round(const core::Data& data, const std::string& path,
     if (in.gcount() != want) {
       return Error{Errc::kUnavailable, "tcp", path + " changed while uploading (short read)"};
     }
-    const Status sent = wait<api::Unit>([&](api::Reply<Status> done) {
+    const Status sent = await_reply<api::Unit>(bus_, pump_, [&](api::Reply<Status> done) {
       bus_.dr_put_chunk(data.uid, offset, buffer, std::move(done));
     });
     if (!sent.ok()) return sent;
@@ -145,7 +125,7 @@ Status TcpTransfer::put_round(const core::Data& data, const std::string& path,
   }
 
   const Expected<core::Locator> committed =
-      wait<core::Locator>([&](api::Reply<Expected<core::Locator>> done) {
+      await_reply<core::Locator>(bus_, pump_, [&](api::Reply<Expected<core::Locator>> done) {
         bus_.dr_put_commit(data.uid, kTcpProtocol, std::move(done));
       });
   if (!committed.ok()) return Status(committed.error());
@@ -160,8 +140,10 @@ Status TcpTransfer::get_file(const core::Data& data, const std::string& path) {
     return Error{Errc::kInvalidArgument, "tcp",
                  "datum " + data.uid.str() + " has no content descriptor to verify against"};
   }
-  const services::TicketId ticket = open_ticket(data, /*upload=*/false);
-  ProgressReport progress(bus_, ticket);
+  ProgressReport progress(
+      bus_, config_.track_ticket
+                ? open_ticket(bus_, pump_, data, "dr", config_.local_name, kTcpProtocol)
+                : 0);
   Status outcome = ok_status();
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
     if (attempt > 0) ++stats_.retries;

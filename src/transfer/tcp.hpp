@@ -93,17 +93,10 @@ class TcpTransfer {
   const TcpConfig& config() const { return config_; }
 
  private:
-  template <typename T>
-  api::Expected<T> wait(std::function<void(api::Reply<api::Expected<T>>)> issue);
-
   api::Status put_round(const core::Data& data, const std::string& path,
                         ProgressReport& progress, core::Locator* locator_out);
   api::Status get_round(const core::Data& data, const std::string& path,
                         ProgressReport& progress);
-
-  /// Registers the transfer with the DT service; 0 (untracked) on any
-  /// failure: the data path must not depend on control-plane health.
-  services::TicketId open_ticket(const core::Data& data, bool upload);
 
   api::ServiceBus& bus_;
   TcpConfig config_;

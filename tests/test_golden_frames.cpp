@@ -7,17 +7,15 @@
 // below. Any change to how an endpoint is encoded, decoded or dispatched
 // shows up here as a byte diff.
 //
-// The script runs twice: against an in-memory container (blob mode) and
-// against a WAL-backed one, whose repository keeps content in files and
-// answers the data plane through its own paths (dr_get_chunk as an fd
-// slice). Both must produce the same bytes, except the dr_stats counters
-// that name the storage mode.
+// The script runs twice: against an in-memory container, whose repository
+// keeps content in a private temp dir, and against a WAL-backed one, whose
+// content lives beside its WAL. Both serve dr_get_chunk as an fd slice and
+// must produce the same bytes.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <filesystem>
-#include <map>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -193,7 +191,7 @@ constexpr Golden kGolden[] = {
      "0108000000656e206368756e6b"},
     {"dr_stats",
      "",
-     "01010000000000000016000000000000000100000000000000080000000000000001000000000000000000000000"
+     "01010000000000000016000000000000000100000000000000080000000000000000000000000000000100000000"
      "000000"},
     {"dt_register",
      "a73e0f94b4931e5a010000000000000008000000676f6c64656e2d61200000003263313734336133393133303566"
@@ -419,9 +417,8 @@ Run run_script(services::ServiceContainer& container) {
   return run;
 }
 
-/// Compares a run with kGolden; `replies` overrides the golden reply of
-/// the endpoints it names.
-void expect_golden(const Run& run, const std::map<std::string, std::string>& replies = {}) {
+/// Compares a run with kGolden.
+void expect_golden(const Run& run) {
   ASSERT_EQ(run.seen.size(), std::size(kGolden));
   for (std::size_t i = 0; i < run.seen.size(); ++i) {
     const Exchange& exchange = run.seen[i];
@@ -432,9 +429,7 @@ void expect_golden(const Run& run, const std::map<std::string, std::string>& rep
     const std::string reply = exchange.endpoint == wire::Endpoint::kDsHosts
                                   ? without_sync_ages(exchange.reply)
                                   : exchange.reply;
-    const auto override_reply = replies.find(golden.endpoint);
-    EXPECT_EQ(hex(reply), override_reply != replies.end() ? override_reply->second
-                                                          : std::string(golden.reply));
+    EXPECT_EQ(hex(reply), golden.reply);
   }
 }
 
@@ -447,8 +442,7 @@ TEST(GoldenFrames, EveryBusEndpointKeepsItsBytes) {
 
 TEST(GoldenFrames, FileBackedHostAnswersWithTheSameBytes) {
   // The WAL-backed container stages uploads in `<wal>.content/<uid>.part`
-  // and serves dr_get_chunk as an fd slice. Only the storage-mode counters
-  // of dr_stats differ: the one chunk read is a slice, not a blob copy.
+  // and serves dr_get_chunk as an fd slice, as the in-memory one does.
   const auto dir = std::filesystem::temp_directory_path() /
                    ("bitdew-golden-" + std::to_string(::getpid()));
   std::filesystem::remove_all(dir);
@@ -457,10 +451,7 @@ TEST(GoldenFrames, FileBackedHostAnswersWithTheSameBytes) {
     util::reseed_auid(0x601d);
     util::ManualClock clock;
     services::ServiceContainer container("golden", clock, (dir / "golden.wal").string());
-    expect_golden(run_script(container),
-                  {{"dr_stats",
-                    "0101000000000000001600000000000000010000000000000008000000000000000000000000"
-                    "0000000100000000000000"}});
+    expect_golden(run_script(container));
   }
   std::filesystem::remove_all(dir);
 }

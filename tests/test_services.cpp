@@ -179,7 +179,7 @@ TEST(Repository, EmptyUploadCommitsInFileMode) {
 TEST(Repository, UncreatableContentDirFailsConstruction) {
   // A regular file where the WAL's content dir belongs: the container must
   // refuse to build, naming the path, instead of keeping content in WAL
-  // rows. An in-memory container has no content dir and keeps blob mode.
+  // rows. An in-memory container stages into a private dir instead.
   const auto dir = std::filesystem::temp_directory_path() /
                    ("bitdew-nodir-" + std::to_string(::getpid()) + "-" + util::next_auid().str());
   std::filesystem::create_directories(dir);
@@ -218,7 +218,7 @@ TEST(Repository, StaleChunkAfterResumeChangesNothing) {
   repository.stage_write(landed, stray);
   EXPECT_TRUE(landed.written);
   ASSERT_EQ(repository.stage_begin(fixture.data), 1000);
-  EXPECT_EQ(repository.stage_advance(landed, stray), services::ChunkResult::kBadOffset);
+  EXPECT_EQ(repository.stage_advance(landed), services::ChunkResult::kBadOffset);
   repository.stage_hash(landed, stray);  // its upload is retired: returns at once
   EXPECT_EQ(repository.stage_received(uid), 1000);
   EXPECT_EQ(std::filesystem::file_size(fixture.part()), 1000u);
@@ -229,7 +229,7 @@ TEST(Repository, StaleChunkAfterResumeChangesNothing) {
   ASSERT_EQ(repository.stage_begin(fixture.data), 1000);
   repository.stage_write(late, stray);
   EXPECT_FALSE(late.written);
-  EXPECT_EQ(repository.stage_advance(late, stray), services::ChunkResult::kBadOffset);
+  EXPECT_EQ(repository.stage_advance(late), services::ChunkResult::kBadOffset);
   repository.stage_hash(late, stray);
   EXPECT_EQ(std::filesystem::file_size(fixture.part()), 1000u);
 
@@ -253,10 +253,52 @@ TEST(Repository, SecondChunkAtAClaimedOffsetIsRefused) {
   ASSERT_EQ(repository.stage_reserve(uid, 0, 1000, first), services::ChunkResult::kOk);
   EXPECT_EQ(repository.stage_reserve(uid, 0, 1000, second), services::ChunkResult::kBadOffset);
   repository.stage_write(first, bytes.substr(0, 1000));
-  ASSERT_EQ(repository.stage_advance(first, bytes.substr(0, 1000)), services::ChunkResult::kOk);
+  ASSERT_EQ(repository.stage_advance(first), services::ChunkResult::kOk);
   repository.stage_hash(first, bytes.substr(0, 1000));
   ASSERT_EQ(repository.stage_chunk(uid, 1000, bytes.substr(1000)), services::ChunkResult::kOk);
   EXPECT_EQ(repository.stage_commit(uid, "tcp"), services::CommitResult::kOk);
+}
+
+TEST(Repository, WalWithChunkTableAndChunksColumnResumesAndCommits) {
+  // A WAL written while in-memory repositories still kept chunk rows holds
+  // a dr_chunk table, and its stage rows carry a `chunks` column. It must
+  // replay, resume at the .part prefix and commit MD5-verified.
+  std::string bytes(3000, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<char>(i * 53 + 7);
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("bitdew-oldwal-" + std::to_string(::getpid()) + "-" + util::next_auid().str());
+  std::filesystem::create_directories(dir / "bitdewd.wal.content");
+  const std::string wal = (dir / "bitdewd.wal").string();
+  Data data = make_data("resumed", static_cast<std::int64_t>(bytes.size()));
+  data.checksum = util::Md5::of(bytes).hex();
+  {
+    db::Database written(wal);
+    for (const char* table : {"dr_object", "dr_content", "dr_stage"}) {
+      written.create_table(db::TableSchema{table, "uid", {}});
+    }
+    written.create_table(db::TableSchema{"dr_chunk", "key", {}});
+    db::Row stage;
+    stage["uid"] = data.uid.str();
+    stage["received"] = std::int64_t{1000};
+    stage["chunks"] = std::int64_t{1};
+    stage["size"] = data.size;
+    stage["checksum"] = data.checksum;
+    ASSERT_TRUE(written.insert("dr_stage", std::move(stage)).has_value());
+  }
+  std::ofstream(wal + ".content/" + data.uid.str() + ".part", std::ios::binary)
+      << bytes.substr(0, 1000);
+
+  util::ManualClock clock;
+  {
+    services::ServiceContainer container("server", clock, wal);
+    services::DataRepository& repository = container.dr();
+    ASSERT_EQ(repository.stage_begin(data), 1000);
+    ASSERT_EQ(repository.stage_chunk(data.uid, 1000, bytes.substr(1000)),
+              services::ChunkResult::kOk);
+    ASSERT_EQ(repository.stage_commit(data.uid, "tcp"), services::CommitResult::kOk);
+    EXPECT_EQ(repository.read_bytes(data.uid, 0, 3000), bytes);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // --- Data Transfer ---------------------------------------------------------------
@@ -1307,6 +1349,7 @@ TEST_F(JobServiceTest, JobsSurviveContainerRestart) {
   EXPECT_EQ(reopened.jobs().claim(claimed, "w2").code(), api::Errc::kRejected);
   EXPECT_TRUE(reopened.jobs().claim(waiting, "w2").ok());
   std::filesystem::remove(wal);
+  std::filesystem::remove_all(wal.string() + ".content");
 }
 
 // --- container --------------------------------------------------------------------
@@ -1373,6 +1416,7 @@ TEST(ServiceContainer, CatalogAndSchedulerSurviveRestart) {
   const SyncReply reply = reopened.ds().sync("worker-1", {});
   EXPECT_EQ(reply.download.size(), 2u);
   std::filesystem::remove(wal);
+  std::filesystem::remove_all(wal.string() + ".content");
 }
 
 /// A duration lifetime is anchored ONCE, at first receipt: the WAL stores
@@ -1408,6 +1452,7 @@ TEST(ServiceContainer, RestartDoesNotExtendAnchoredLifetimes) {
     EXPECT_EQ(reopened.ds().scheduled_count(), 0u);  // reaped on the original deadline
   }
   std::filesystem::remove(wal);
+  std::filesystem::remove_all(wal.string() + ".content");
 }
 
 // --- Incremental sync (protocol v2) ------------------------------------------

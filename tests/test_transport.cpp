@@ -12,10 +12,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -24,7 +26,9 @@
 #include "rpc/reactor.hpp"
 #include "rpc/server.hpp"
 #include "rpc/transport.hpp"
+#include "transfer/peer.hpp"
 #include "transfer/tcp.hpp"
+#include "util/md5.hpp"
 #include "util/rng.hpp"
 
 namespace bitdew {
@@ -223,8 +227,8 @@ TEST(EpollReactor, TenThousandIdleConnectionsSmoke) {
 // --- ServiceHost hardening ---------------------------------------------------
 
 struct HostRig {
-  /// An in-memory container, or a WAL-backed one at `wal` (file-backed
-  /// content in `<wal>.content/`, as in every bitdewd).
+  /// An in-memory container, or a WAL-backed one at `wal` (content in
+  /// `<wal>.content/`, as in every bitdewd --wal).
   explicit HostRig(const std::string& wal = {})
       : owned(wal.empty() ? std::make_unique<services::ServiceContainer>("server", clock)
                           : std::make_unique<services::ServiceContainer>("server", clock, wal)),
@@ -348,14 +352,13 @@ struct TempDir {
   std::filesystem::path dir;
 };
 
-/// Where a repository keeps staged and published bytes: database rows in
-/// an in-memory container (blob mode), or `<wal>.content/` files in a
-/// WAL-backed one (file-backed, every bitdewd).
-enum class Storage { kBlob, kFileBacked };
+/// Which container a host serves from: an in-memory one, whose repository
+/// keeps content in a private temp dir, or a WAL-backed one, whose content
+/// lives in `<wal>.content/` (every bitdewd --wal).
+enum class Storage { kInMemory, kFileBacked };
 
-/// A host over a container in either storage mode (its WAL in the temp
-/// dir), plus the filesystem and registered-datum helpers shared by the
-/// data-plane tests.
+/// A host over either container (its WAL in the temp dir), plus the
+/// filesystem and registered-datum helpers shared by the data-plane tests.
 struct DataPlaneRig : TempDir, HostRig {
   explicit DataPlaneRig(Storage storage)
       : HostRig(storage == Storage::kFileBacked ? (dir / "bitdewd.wal").string()
@@ -395,13 +398,13 @@ struct DataPlaneRig : TempDir, HostRig {
   }
 };
 
-/// The data-plane tests that run in both storage modes.
+/// The data-plane tests that run over both containers.
 class DataPlaneByStorage : public ::testing::TestWithParam<Storage> {};
 
 INSTANTIATE_TEST_SUITE_P(Modes, DataPlaneByStorage,
-                         ::testing::Values(Storage::kBlob, Storage::kFileBacked),
+                         ::testing::Values(Storage::kInMemory, Storage::kFileBacked),
                          [](const ::testing::TestParamInfo<Storage>& info) {
-                           return info.param == Storage::kBlob ? "Blob" : "FileBacked";
+                           return info.param == Storage::kInMemory ? "InMemory" : "FileBacked";
                          });
 
 TEST_P(DataPlaneByStorage, LivePutGetRoundTripIsByteIdentical) {
@@ -929,6 +932,112 @@ TEST(DataPlane, FileBackedGetLeavesTheCallersPipelineDepth) {
     EXPECT_EQ(bus.pipeline_depth(), depth);
     EXPECT_FALSE(std::filesystem::exists(out_path + "-missing"));
   }
+}
+
+TEST(DataPlane, PeerTransferClosesItsTicketOnAPipelinedBus) {
+  // Over a depth-16 bus the dt_register reply is deferred: the engine must
+  // wait for its ticket, or the get runs untracked while the deferred
+  // registration opens a ticket that nothing closes.
+  DataPlaneRig rig(Storage::kFileBacked);
+  std::string payload;
+  const core::Data data = committed_datum(rig, 200000, payload);  // untracked put
+
+  api::RemoteServiceBus bus("127.0.0.1", rig.host.port(),
+                            api::RemoteBusConfig{1.0, 5.0, 4, /*pipeline_depth=*/16});
+  transfer::PeerConfig config;
+  config.chunk_bytes = 32 * 1024;
+  config.track_ticket = true;
+  transfer::PeerTransfer p2p(bus, config);
+  const std::string out_path = (rig.dir / "out.bin").string();
+  const Status got = p2p.get_file(data, out_path, {});
+  ASSERT_TRUE(got.ok()) << got.error().to_string();
+  EXPECT_EQ(rig.slurp(out_path), payload);
+  bus.drain();
+  EXPECT_EQ(rig.container.dt().stats().registered, 1u);
+  EXPECT_EQ(rig.container.dt().stats().completed, 1u);
+}
+
+// --- the in-memory repository's content dir -----------------------------------
+
+/// Points TMPDIR at `path` until destruction, which restores the previous
+/// value.
+class ScopedTmpdir {
+ public:
+  explicit ScopedTmpdir(const std::string& path) {
+    if (const char* previous = std::getenv("TMPDIR")) saved_ = previous;
+    ::setenv("TMPDIR", path.c_str(), 1);
+  }
+  ~ScopedTmpdir() {
+    if (saved_.has_value()) {
+      ::setenv("TMPDIR", saved_->c_str(), 1);
+    } else {
+      ::unsetenv("TMPDIR");
+    }
+  }
+  ScopedTmpdir(const ScopedTmpdir&) = delete;
+  ScopedTmpdir& operator=(const ScopedTmpdir&) = delete;
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+core::Data three_byte_datum() {
+  core::Data data;
+  data.uid = util::next_auid();
+  data.name = "staged";
+  data.size = 3;
+  data.checksum = util::Md5::of("abc").hex();
+  return data;
+}
+
+TEST(InMemoryContentDir, MadeByTheFirstStageAndRemovedWithTheContainer) {
+  TempDir tmp;
+  const ScopedTmpdir scoped(tmp.dir.string());
+  const auto entries = [&tmp] {
+    std::vector<std::filesystem::path> found;
+    for (const auto& entry : std::filesystem::directory_iterator(tmp.dir)) {
+      found.push_back(entry.path());
+    }
+    return found;
+  };
+  const core::Data data = three_byte_datum();
+  util::ManualClock clock;
+  {
+    services::ServiceContainer container("server", clock);
+    services::DataRepository& repository = container.dr();
+    // Metadata, reads and removal of a datum with no bytes touch no disk.
+    repository.put(data, core::Content{data.size, data.checksum}, "tcp");
+    EXPECT_FALSE(repository.read_bytes(data.uid, 0, 3).has_value());
+    EXPECT_TRUE(repository.remove(data.uid));
+    EXPECT_TRUE(entries().empty());
+
+    ASSERT_EQ(repository.stage_begin(data), 0);
+    const std::vector<std::filesystem::path> made = entries();
+    ASSERT_EQ(made.size(), 1u);
+    EXPECT_EQ(made[0].filename().string().rfind("bitdew-content-", 0), 0u) << made[0];
+    EXPECT_TRUE(std::filesystem::is_directory(made[0]));
+    EXPECT_TRUE(std::filesystem::exists(made[0] / (data.uid.str() + ".part")));
+  }
+  EXPECT_TRUE(entries().empty());
+}
+
+TEST(InMemoryContentDir, UnusableTmpdirFailsPutStartUnavailable) {
+  // TMPDIR names a regular file, so the repository cannot make its content
+  // dir: dr_put_start fails typed, naming the path, and the host serves on.
+  TempDir tmp;
+  const std::string not_a_dir = (tmp.dir / "not-a-dir").string();
+  std::ofstream(not_a_dir) << "a regular file";
+  const ScopedTmpdir scoped(not_a_dir);
+  HostRig rig;
+  api::RemoteServiceBus bus("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
+  std::optional<api::Expected<std::int64_t>> started;
+  bus.dr_put_start(three_byte_datum(), [&](auto reply) { started = std::move(reply); });
+  ASSERT_TRUE(started.has_value());
+  ASSERT_FALSE(started->ok());
+  EXPECT_EQ(started->error().code, Errc::kUnavailable);
+  EXPECT_NE(started->error().message.find(not_a_dir), std::string::npos)
+      << started->error().to_string();
+  EXPECT_TRUE(rig.alive());
 }
 
 TEST(ServiceHostHardening, ManyConcurrentClients) {
