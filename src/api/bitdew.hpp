@@ -82,15 +82,16 @@ class BitDew {
     bus_.ddc_search(key, std::move(done));
   }
 
-  /// Data known locally by name (created or found through search()).
+  /// Data known locally by name (created, found through search(), or
+  /// remembered).
   std::optional<core::Data> known(const std::string& name) const;
+  /// Records `data` as the datum known by its name.
+  void remember(const core::Data& data);
 
   const std::string& host_name() const { return host_; }
   ServiceBus& bus() { return bus_; }
 
  private:
-  void remember(const core::Data& data);
-
   ServiceBus& bus_;
   std::string host_;
   std::map<std::string, core::Data> known_by_name_;

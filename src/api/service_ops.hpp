@@ -126,12 +126,13 @@ inline Status dr_remove(services::ServiceContainer& c, const util::Auid& uid) {
 
 // --- Data Repository: chunked out-of-band data plane ---------------------------
 
+/// Opens, resumes or seals a staged upload. An empty checksum opens a
+/// pending stage, which a later start with the same size and the MD5 seals.
 inline Expected<std::int64_t> dr_put_start(services::ServiceContainer& c,
                                            const core::Data& data) {
   if (!data.valid()) return Error{Errc::kInvalidArgument, "dr", "nil uid"};
-  if (data.checksum.empty() || data.size < 0) {
-    return Error{Errc::kInvalidArgument, "dr",
-                 "content descriptor required (size + md5) for " + data.uid.str()};
+  if (data.size < 0) {
+    return Error{Errc::kInvalidArgument, "dr", "negative content size for " + data.uid.str()};
   }
   try {
     return c.dr().stage_begin(data);
@@ -161,6 +162,10 @@ inline Status chunk_status(services::ServiceContainer& c, const util::Auid& uid,
                    "chunk exceeds the per-chunk limit or the declared content size"};
     case services::ChunkResult::kEmpty:
       return Error{Errc::kInvalidArgument, "dr", "empty chunk"};
+    case services::ChunkResult::kWriteFailed:
+      return Error{Errc::kUnavailable, "dr",
+                   "cannot write chunk at offset " + std::to_string(offset) + " to " +
+                       c.dr().stage_path(uid)};
   }
   return Error{Errc::kUnavailable, "dr", "unreachable"};
 }
@@ -182,6 +187,10 @@ inline Expected<core::Locator> dr_put_commit(services::ServiceContainer& c,
     case services::CommitResult::kIncomplete:
       return Error{Errc::kRejected, "dr",
                    "staged upload incomplete for " + uid.str() + " (resume and finish first)"};
+    case services::CommitResult::kUnsealed:
+      return Error{Errc::kRejected, "dr",
+                   "staged upload for " + uid.str() +
+                       " has no checksum (seal it with dr_put_start first)"};
     case services::CommitResult::kChecksumMismatch:
       return Error{Errc::kChecksumMismatch, "dr",
                    "staged content MD5 differs from the registered checksum for " + uid.str() +

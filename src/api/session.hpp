@@ -58,7 +58,8 @@ class Session {
  public:
   /// `pump` makes the underlying engine progress (one simulator step, one
   /// event-loop turn); it returns false when nothing further can happen.
-  /// May be null for synchronous buses. `tm` enables wait_transfer().
+  /// May be null for synchronous buses. `tm`, when given, sees each
+  /// put_file/get_file as a transfer (begin/finish).
   using Pump = std::function<bool()>;
 
   Session(BitDew& bitdew, ActiveData& active_data, Pump pump = nullptr,
@@ -199,34 +200,37 @@ class Session {
     return wait(lookup_async(key));
   }
 
-  /// Blocks until the datum's transfer on this node completes (requires a
-  /// TransferManager at construction).
-  Status wait_transfer(const util::Auid& uid);
-
   // --- real-byte data plane ---------------------------------------------------
   // Chunked out-of-band content transfer through the bus's dr_put_start /
   // dr_put_chunk / dr_put_commit / dr_get_chunk endpoints (the
   // transfer::TcpTransfer engine): Sim/Direct land in the in-process
-  // repository, Remote streams over TCP. Uploads send one chunk at a time
-  // and resume at the offset the repository reports; downloads keep
-  // transfer::kGetWindow fetches in flight (the engine raises the bus's
-  // pipeline depth for the loop and restores it after) and resume from
-  // `path`.part. Both are MD5-verified (Errc::kChecksumMismatch on
-  // divergence); the download hashes on a helper thread.
+  // repository, Remote streams over TCP. Uploads keep one chunk in flight,
+  // hash it meanwhile, and resume at the offset the repository reports;
+  // downloads keep transfer::kGetWindow fetches in flight and resume from
+  // `path`.part (the engine raises the bus's pipeline depth for each chunk
+  // loop and restores it after). Both are MD5-verified
+  // (Errc::kChecksumMismatch on divergence).
 
-  /// Creates a data slot named `name` from the file at `path` — or reuses
-  /// the registered slot of that name when its descriptor matches the file,
-  /// so a re-run resumes an interrupted upload — then uploads the content.
-  /// The file is hashed once, here; only a kNotFound search registers a new
-  /// slot (any other search failure is returned).
+  /// Uploads the file at `path` as the datum named `name`, and returns its
+  /// completed descriptor. What dc_search(name) finds picks one of three
+  /// cases (only kNotFound frees the name; any other search failure is
+  /// returned):
+  ///  * nothing: mints a uid, opens a pending stage (dr_put_start with the
+  ///    size and an empty checksum), registers the pending descriptor, then
+  ///    uploads hashing as it sends, and seals, commits and completes the
+  ///    catalog row. A daemon that refuses the pending start leaves nothing
+  ///    registered under the name;
+  ///  * a pending descriptor of the file's size, left by an interrupted
+  ///    put: resumes it under its uid, sending only the tail. Content that
+  ///    differs from the staged prefix fails the commit kChecksumMismatch,
+  ///    which consumes the stage, and the next put starts clean. A pending
+  ///    descriptor of another size is kDuplicate;
+  ///  * a checksummed descriptor: hashes the file first; kDuplicate when it
+  ///    differs, otherwise reuses the slot (and resumes its stage).
   Expected<core::Data> put_file(const std::string& name, const std::string& path);
-
-  /// Uploads the file at `path` as the content of an existing slot.
-  Status put_file(const core::Data& data, const std::string& path);
 
   /// Downloads a datum's content into `path`.
   Status get_file(const core::Data& data, const std::string& path);
-  Status get_file(const util::Auid& uid, const std::string& path);
 
   /// Data-plane knobs (see transfer::TcpConfig for semantics/bounds).
   void set_chunk_bytes(std::int64_t bytes) { chunk_bytes_ = bytes; }
@@ -238,9 +242,6 @@ class Session {
   std::pair<std::vector<core::Data>, BatchStatus> create_data_batch(
       const std::vector<std::pair<std::string, core::Content>>& slots);
   BatchStatus register_batch(const std::vector<core::Data>& items);
-  BatchLocators locate_batch(const std::vector<util::Auid>& uids);
-  BatchStatus schedule_batch(const std::vector<services::ScheduledData>& items);
-  BatchStatus publish_batch(const std::vector<KeyValue>& pairs);
 
   BitDew& bitdew() { return bitdew_; }
   ActiveData& active_data() { return active_data_; }

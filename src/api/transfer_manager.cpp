@@ -53,7 +53,6 @@ void TransferManager::finish(const util::Auid& uid, Status outcome) {
 
   for (auto& callback : callbacks) callback(outcome);
   for (auto& next : admitted) next();
-  maybe_release_barriers();
 }
 
 TransferProbe TransferManager::probe(const util::Auid& uid) const {
@@ -88,28 +87,6 @@ void TransferManager::when_done(const util::Auid& uid, std::function<void(Status
     }
   }
   if (ready.has_value()) done(*ready);
-}
-
-void TransferManager::barrier(std::function<void()> done) {
-  {
-    const util::LockGuard lock(mutex_);
-    if (active_ != 0 || admitting_ != 0 || !pending_.empty()) {
-      barriers_.push_back(std::move(done));
-      return;
-    }
-  }
-  done();
-}
-
-void TransferManager::maybe_release_barriers() {
-  std::vector<std::function<void()>> ready;
-  {
-    const util::LockGuard lock(mutex_);
-    if (active_ != 0 || admitting_ != 0 || !pending_.empty()) return;
-    ready = std::move(barriers_);
-    barriers_.clear();
-  }
-  for (auto& barrier : ready) barrier();
 }
 
 }  // namespace bitdew::api

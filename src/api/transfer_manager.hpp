@@ -1,13 +1,12 @@
 // TransferManager (paper §3.3): a non-blocking view over this node's
 // concurrent transfers — probe per datum, completion callbacks (the async
-// analogue of waitFor), barriers over everything outstanding, and a
-// tunable concurrency cap with FIFO admission.
+// analogue of waitFor), and a tunable concurrency cap with FIFO admission.
 //
 // The node runtime (simulated or local) registers every transfer it starts
 // through begin()/finish(); user code observes them here. All methods are
 // thread-safe (PR 3: real TcpTransfer streams call begin()/finish() from
-// worker threads), and every callback — admitted jobs, when_done waiters,
-// barriers — is invoked with the manager's lock released, so an admitted
+// worker threads), and every callback — admitted jobs and when_done
+// waiters — is invoked with the manager's lock released, so an admitted
 // job may be a blocking transfer and callbacks may call back in freely.
 // admit() reserves the concurrency slot before the job runs; the job's
 // begin() converts the reservation into an active transfer.
@@ -49,7 +48,7 @@ class TransferManager {
   /// Marks it finished with its outcome — ok, or the Error saying why the
   /// download died (no source, transport loss, checksum exhaustion).
   /// Releases the slot and fires waiters (runtime side). Every callback —
-  /// waiters, admitted jobs, barriers — fires OUTSIDE the lock.
+  /// waiters and admitted jobs — fires OUTSIDE the lock.
   void finish(const util::Auid& uid, Status outcome) EXCLUDES(mutex_);
 
   /// Non-blocking probe of the paper's API.
@@ -63,9 +62,6 @@ class TransferManager {
   /// completes; immediate if it already has.
   void when_done(const util::Auid& uid, std::function<void(Status)> done) EXCLUDES(mutex_);
 
-  /// Barrier: fires once no transfer is active or queued.
-  void barrier(std::function<void()> done) EXCLUDES(mutex_);
-
   int active_count() const EXCLUDES(mutex_) {
     const util::LockGuard lock(mutex_);
     return active_;
@@ -76,8 +72,6 @@ class TransferManager {
   }
 
  private:
-  void maybe_release_barriers() EXCLUDES(mutex_);
-
   mutable util::Mutex mutex_;
   int max_concurrent_ GUARDED_BY(mutex_) = 0;
   /// Slots reserved by admit(), not yet begin()-ed.
@@ -87,7 +81,6 @@ class TransferManager {
   std::map<util::Auid, TransferProbe> states_ GUARDED_BY(mutex_);
   std::map<util::Auid, Status> outcomes_ GUARDED_BY(mutex_);
   std::map<util::Auid, std::vector<std::function<void(Status)>>> waiters_ GUARDED_BY(mutex_);
-  std::vector<std::function<void()>> barriers_ GUARDED_BY(mutex_);
 };
 
 }  // namespace bitdew::api

@@ -116,8 +116,8 @@ void Database::wal_append(const std::string& record) {
   // The record above is already durable and reflected in the tables, so
   // compacting here rewrites a state that includes it. Trigger on growth
   // past the last snapshot, not absolute size: once live state itself
-  // exceeds the threshold (content blobs can — PR 3 stores staged chunks
-  // in the WAL), an absolute check would compact on every append.
+  // exceeds the threshold (a large catalog does), an absolute check would
+  // compact on every append.
   if (compact_threshold_ > 0 &&
       wal_bytes_ >= std::max(compact_threshold_, 2 * snapshot_bytes_)) {
     compact();

@@ -54,7 +54,16 @@ DataCatalog::DataCatalog(db::Database& database) : database_(database) {
 }
 
 bool DataCatalog::register_data(const core::Data& data) {
-  return database_.insert(kDataTable, data_to_row(data)).has_value();
+  if (database_.insert(kDataTable, data_to_row(data)).has_value()) return true;
+  // The uid is taken. Completing its pending row is the one register that
+  // may land on it.
+  db::Table* table = database_.table(kDataTable);
+  const auto id = table->by_primary(db::Value{data.uid.str()});
+  if (!id.has_value() || data.checksum.empty()) return false;
+  const core::Data held = row_to_data(*table->get(*id));
+  if (!held.checksum.empty() || held.name != data.name || held.size != data.size) return false;
+  database_.update(kDataTable, *id, data_to_row(data));
+  return true;
 }
 
 std::vector<bool> DataCatalog::register_batch(const std::vector<core::Data>& items) {

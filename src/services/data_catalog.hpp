@@ -20,7 +20,10 @@ class DataCatalog {
   /// Uses (and creates its tables in) the given database.
   explicit DataCatalog(db::Database& database);
 
-  /// Registers a datum; fails (returns false) on duplicate uid.
+  /// Registers a datum; fails (returns false) on duplicate uid. A row with
+  /// an empty checksum is *pending* (an upload in progress): a register of
+  /// the same uid, name and size that carries a checksum completes it in
+  /// place, once.
   bool register_data(const core::Data& data);
 
   /// Bulk registration: one call for N data, per-item outcomes aligned with

@@ -264,9 +264,22 @@ std::int64_t DataRepository::stage_begin(const core::Data& data) {
   }
   db::Table* table = database_.table(kStageTable);
   const std::string uid_key = data.uid.str();
+  const auto id = table->by_primary(db::Value{uid_key});
+  if (id.has_value()) {
+    db::Row row = *table->get(*id);
+    if (db::get_text(row, "checksum").empty() && !data.checksum.empty() &&
+        db::get_int(row, "size") == data.size) {
+      // The seal of a pending stage. Its live upload stays: retiring it
+      // would make commit re-hash the whole .part from disk, under the lock.
+      const std::int64_t received = db::get_int(row, "received");
+      row["checksum"] = data.checksum;
+      database_.update(kStageTable, *id, std::move(row));
+      return received;
+    }
+  }
   // Resume or restart alike: chunks reserved before this call land nothing.
   retire_upload(uid_key);
-  if (const auto id = table->by_primary(db::Value{uid_key})) {
+  if (id.has_value()) {
     const db::Row& row = *table->get(*id);
     if (db::get_int(row, "size") == data.size &&
         db::get_text(row, "checksum") == data.checksum) {
@@ -340,8 +353,8 @@ ChunkResult DataRepository::stage_advance(StageSlot& slot) {
   db::Table* table = database_.table(kStageTable);
   const auto id = table->by_primary(db::Value{slot.uid_key});
   if (!id.has_value()) return ChunkResult::kNoStage;
-  if (!current) return ChunkResult::kBadOffset;     // retired since the reserve
-  if (!slot.written) return ChunkResult::kNoStage;  // the .part refused the bytes
+  if (!current) return ChunkResult::kBadOffset;  // retired since the reserve
+  if (!slot.written) return ChunkResult::kWriteFailed;
   db::Row stage = *table->get(*id);
   const std::int64_t received = db::get_int(stage, "received");
   if (received != slot.offset) return ChunkResult::kBadOffset;
@@ -363,6 +376,7 @@ CommitResult DataRepository::stage_commit(const util::Auid& uid, const std::stri
   const db::Row stage = *table->get(*id);
   const std::int64_t size = db::get_int(stage, "size");
   if (db::get_int(stage, "received") < size) return CommitResult::kIncomplete;
+  if (db::get_text(stage, "checksum").empty()) return CommitResult::kUnsealed;
 
   // The MD5 accumulated chunk by chunk (or replays the .part file once
   // after a restart): commit waits for the chunks still hashing and never

@@ -9,9 +9,12 @@
 //  * the data path (PR 3): chunked out-of-band uploads. stage_begin /
 //    stage_chunk / stage_commit accept a file in fixed-size chunks, keep a
 //    partial upload across a daemon restart (it resumes at the returned
-//    offset), verify the staged bytes' MD5 against the datum's registered
-//    checksum at commit, and only then publish the content for
-//    read_chunk_ref() to serve.
+//    offset), verify the staged bytes' MD5 against the checksum the stage
+//    holds at commit, and only then publish the content for
+//    read_chunk_ref() to serve. A stage may open *pending*, with the size
+//    known and the checksum empty, so the sender can hash while it sends;
+//    a later stage_begin with the same size and the digest seals it, and
+//    commit refuses a stage that was never sealed.
 //
 // Every chunk is written to `<content_dir>/<uid>.part`; the database holds
 // only the upload's stage row (its received-bytes watermark). A WAL-backed
@@ -73,6 +76,7 @@ enum class ChunkResult {
                ///< offset, or the upload was restarted (resync via stage_begin)
   kOversize,   ///< chunk exceeds kMaxChunkBytes or overruns the declared size
   kEmpty,      ///< a chunk carries no bytes
+  kWriteFailed,  ///< the .part refused the bytes (ENOSPC, EIO, or it vanished)
 };
 
 /// Outcome of stage_commit().
@@ -80,6 +84,7 @@ enum class CommitResult {
   kOk = 0,
   kNoStage,           ///< nothing staged for this uid
   kIncomplete,        ///< fewer bytes staged than the declared size
+  kUnsealed,          ///< the stage is pending: no checksum to verify against
   kChecksumMismatch,  ///< assembled MD5 differs from the registered checksum
 };
 
@@ -131,9 +136,12 @@ class DataRepository {
   // --- chunked out-of-band uploads -------------------------------------------
   /// Opens (or resumes) a staged upload for `data` and returns the number of
   /// bytes already durably held — the offset the sender must continue from.
-  /// A stage whose declared size/checksum no longer match `data` is reset.
-  /// Throws std::system_error naming the path when a private content dir
-  /// cannot be made.
+  /// An empty data.checksum opens (or resumes) a pending stage. A pending
+  /// stage of the same size adopts a non-empty checksum (the seal) and
+  /// keeps its upload's running MD5; any other stage whose declared
+  /// size/checksum no longer match `data` is reset. Throws
+  /// std::system_error naming the path when a private content dir cannot
+  /// be made.
   std::int64_t stage_begin(const core::Data& data);
 
   /// Appends one chunk at `offset` (must equal the bytes received so far):
@@ -145,8 +153,9 @@ class DataRepository {
   // hash take only the upload's own locks (never the caller's), so they
   // may run outside it. Only a slot whose advance returned kOk is hashed.
   //
-  // stage_begin, stage_discard, remove and commit retire an upload's
-  // state: a slot reserved before that lands nothing and cannot advance.
+  // stage_begin (except a seal), stage_discard, remove and commit retire an
+  // upload's state: a slot reserved before that lands nothing and cannot
+  // advance.
 
   /// Step 1: admits `length` bytes at `offset` and claims the offset until
   /// the slot's advance, so a second chunk at the same offset is refused.
@@ -167,7 +176,8 @@ class DataRepository {
   /// stage_begin (waiting for any pending stage_hash first) and, on
   /// success, publishes them (descriptor + content, locator minted with
   /// `protocol`). The stage is consumed either way: a mismatch discards the
-  /// staged bytes so the next put starts clean.
+  /// staged bytes so the next put starts clean. An unsealed stage is
+  /// refused (kUnsealed) and kept.
   CommitResult stage_commit(const util::Auid& uid, const std::string& protocol,
                             core::Locator* locator_out = nullptr);
 
@@ -176,6 +186,9 @@ class DataRepository {
 
   /// Bytes received so far for a staged upload (0 when none).
   std::int64_t stage_received(const util::Auid& uid) const;
+
+  /// The file a staged upload of `uid` writes to.
+  std::string stage_path(const util::Auid& uid) const { return part_path(uid.str()); }
 
   // --- chunked reads ----------------------------------------------------------
   /// Up to `max_bytes` of published content starting at `offset`; an empty

@@ -1,9 +1,7 @@
 #include "transfer/chunk_source.hpp"
 
-#include <memory>
-#include <optional>
-
 #include "rpc/wire.hpp"
+#include "transfer/progress.hpp"
 
 namespace bitdew::transfer {
 
@@ -13,16 +11,12 @@ using api::Expected;
 
 ChunkFetch BusChunkSource::fetch(const util::Auid& uid, std::int64_t offset,
                                  std::int64_t max_bytes) {
-  auto slot = std::make_shared<std::optional<Expected<std::string>>>();
-  bus_.dr_get_chunk(uid, offset, max_bytes,
-                    [slot](Expected<std::string> reply) { *slot = std::move(reply); });
-  return ChunkFetch([slot, &bus = bus_, pump = pump_]() -> Expected<std::string> {
-    while (!slot->has_value()) {
-      if (!(pump ? pump() : bus.pump())) {
-        return Error{Errc::kUnavailable, "chunk", "stalled waiting for a repository chunk"};
-      }
-    }
-    return std::move(**slot);
+  ReplySlot<std::string> slot =
+      issue_call<std::string>([&](api::Reply<Expected<std::string>> done) {
+        bus_.dr_get_chunk(uid, offset, max_bytes, std::move(done));
+      });
+  return ChunkFetch([slot = std::move(slot), &bus = bus_, pump = pump_] {
+    return wait_reply(bus, pump, slot);
   });
 }
 

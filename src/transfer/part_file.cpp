@@ -46,11 +46,8 @@ PartFile::PartFile(std::string path, std::string service, rpc::Fd fd, std::int64
       service_(std::move(service)),
       fd_(std::move(fd)),
       kept_(kept),
-      offset_(kept) {
-  helper_ = std::thread(&PartFile::hash_loop, this);
-}
-
-PartFile::~PartFile() { stop(/*discard=*/true); }
+      offset_(kept),
+      hash_(fd_.get(), kept) {}
 
 Status PartFile::append(std::string&& chunk) {
   const std::size_t size = chunk.size();
@@ -66,22 +63,17 @@ Status PartFile::append(std::string&& chunk) {
     done += static_cast<std::size_t>(wrote);
   }
   offset_ += static_cast<std::int64_t>(size);
-  {
-    util::UniqueLock lock(mutex_);
-    while (queue_.size() >= kHashQueueChunks) drained_.wait(lock);
-    queue_.push_back(std::move(chunk));
-  }
-  queued_.notify_one();
+  hash_.push(std::move(chunk));
   return ok_status();
 }
 
 Status PartFile::finish(const std::string& checksum) {
-  stop(/*discard=*/false);
+  const std::string digest = hash_.finish();
   if (::close(fd_.release()) != 0) {
     return Error{Errc::kUnavailable, service_, "flush failed for " + part_};
   }
   std::error_code ec;
-  if (hasher_.finish().hex() != checksum) {
+  if (digest != checksum) {
     std::filesystem::remove(part_, ec);  // poisoned partials must not resume
     return Error{Errc::kChecksumMismatch, service_,
                  "MD5 of " + part_ + " differs from the registered checksum " + checksum};
@@ -91,15 +83,36 @@ Status PartFile::finish(const std::string& checksum) {
   return ok_status();
 }
 
-void PartFile::hash_loop() {
-  // The kept prefix first. Appends land after it, so it is stable on disk;
-  // a short read leaves the digest short, which finish() reports.
-  if (kept_ > 0) {
-    std::string buffer(static_cast<std::size_t>(std::min<std::int64_t>(kept_, 1 << 20)), '\0');
-    for (std::int64_t at = 0; at < kept_;) {
+// --- HashThread ------------------------------------------------------------------
+
+HashThread::HashThread(int fd, std::int64_t prefix)
+    : fd_(fd), prefix_(prefix), helper_(&HashThread::run, this) {}
+
+HashThread::~HashThread() { stop(/*discard=*/true); }
+
+void HashThread::push(std::string&& chunk) {
+  {
+    util::UniqueLock lock(mutex_);
+    while (queue_.size() >= kQueueChunks) drained_.wait(lock);
+    queue_.push_back(std::move(chunk));
+  }
+  queued_.notify_one();
+}
+
+std::string HashThread::finish() {
+  stop(/*discard=*/false);
+  return hasher_.finish().hex();
+}
+
+void HashThread::run() {
+  // The prefix first. Pushed chunks lie after it, so it is stable on disk;
+  // a short read leaves the digest short, which the caller's check reports.
+  if (prefix_ > 0) {
+    std::string buffer(static_cast<std::size_t>(std::min<std::int64_t>(prefix_, 1 << 20)), '\0');
+    for (std::int64_t at = 0; at < prefix_;) {
       const auto want = static_cast<std::size_t>(std::min<std::int64_t>(
-          kept_ - at, static_cast<std::int64_t>(buffer.size())));
-      const ssize_t got = ::pread(fd_.get(), buffer.data(), want, at);
+          prefix_ - at, static_cast<std::int64_t>(buffer.size())));
+      const ssize_t got = ::pread(fd_, buffer.data(), want, at);
       if (got < 0 && errno == EINTR) continue;
       if (got <= 0) break;
       hasher_.update(buffer.data(), static_cast<std::size_t>(got));
@@ -120,7 +133,7 @@ void PartFile::hash_loop() {
   }
 }
 
-void PartFile::stop(bool discard) {
+void HashThread::stop(bool discard) {
   {
     const util::LockGuard lock(mutex_);
     closed_ = true;

@@ -24,19 +24,36 @@ namespace bitdew::transfer {
 /// RemoteServiceBus call and has nothing to do on Direct.
 using Pump = std::function<bool()>;
 
-/// Issues one bus call and pumps until its reply lands; kUnavailable when
-/// nothing can make progress.
+/// Where the reply of one issued bus call lands.
 template <typename T>
-api::Expected<T> await_reply(api::ServiceBus& bus, const Pump& pump,
-                             const std::function<void(api::Reply<api::Expected<T>>)>& issue) {
+using ReplySlot = std::shared_ptr<std::optional<api::Expected<T>>>;
+
+/// The issue half of a bus call: puts it in flight and returns the slot its
+/// reply lands in (already filled on a synchronous bus).
+template <typename T>
+ReplySlot<T> issue_call(const std::function<void(api::Reply<api::Expected<T>>)>& issue) {
   auto slot = std::make_shared<std::optional<api::Expected<T>>>();
   issue([slot](api::Expected<T> value) { *slot = std::move(value); });
+  return slot;
+}
+
+/// The wait half: pumps until the reply is in the slot; kUnavailable when
+/// nothing can make progress.
+template <typename T>
+api::Expected<T> wait_reply(api::ServiceBus& bus, const Pump& pump, const ReplySlot<T>& slot) {
   while (!slot->has_value()) {
     if (!(pump ? pump() : bus.pump())) {
       return api::Error{api::Errc::kUnavailable, "transfer", "stalled waiting for a reply"};
     }
   }
   return std::move(**slot);
+}
+
+/// Issues one bus call and waits for its reply.
+template <typename T>
+api::Expected<T> await_reply(api::ServiceBus& bus, const Pump& pump,
+                             const std::function<void(api::Reply<api::Expected<T>>)>& issue) {
+  return wait_reply(bus, pump, issue_call<T>(issue));
 }
 
 /// Registers a transfer of `data` from `source` to `destination` with the

@@ -1,10 +1,16 @@
 #include "transfer/tcp.hpp"
 
-#include <algorithm>
-#include <deque>
-#include <fstream>
-#include <memory>
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <deque>
+#include <memory>
+#include <utility>
+
+#include "rpc/fd.hpp"
 #include "services/data_repository.hpp"
 #include "transfer/chunk_source.hpp"
 #include "transfer/part_file.hpp"
@@ -26,6 +32,22 @@ bool retryable(const Status& status) {
   // re-synchronizes it.
   return !status.ok() &&
          (status.error().code == Errc::kTransport || status.error().code == Errc::kRejected);
+}
+
+/// The bus depth of the chunk loop of an upload.
+constexpr int kPutDepth = 3;
+
+/// Fills `buffer` from `fd` at `offset`; false on a read error or when the
+/// file ends first.
+bool read_exact(int fd, std::string& buffer, std::int64_t offset) {
+  for (std::size_t got = 0; got < buffer.size();) {
+    const ssize_t n = ::pread(fd, buffer.data() + got, buffer.size() - got,
+                              static_cast<off_t>(offset + static_cast<std::int64_t>(got)));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    got += static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 /// Raises a bus's pipeline depth to at least `depth` for one scope. The
@@ -66,10 +88,13 @@ Status TcpTransfer::put_file(const core::Data& data, const std::string& path) {
     return Error{Errc::kInvalidArgument, "tcp",
                  path + " does not match the datum's registered size/checksum"};
   }
-  return upload(data, path);
+  core::Data checked = data;
+  return upload(checked, path);
 }
 
-Status TcpTransfer::upload(const core::Data& data, const std::string& path) {
+Status TcpTransfer::upload(core::Data& data, const std::string& path,
+                           std::optional<std::int64_t> opened) {
+  const bool pending = data.checksum.empty();
   ProgressReport progress(
       bus_, config_.track_ticket
                 ? open_ticket(bus_, pump_, data, config_.local_name, "dr", kTcpProtocol)
@@ -78,10 +103,16 @@ Status TcpTransfer::upload(const core::Data& data, const std::string& path) {
   Status outcome = ok_status();
   for (int attempt = 0; attempt < config_.max_attempts; ++attempt) {
     if (attempt > 0) ++stats_.retries;
-    outcome = put_round(data, path, progress, &locator);
+    outcome = put_round(data, path, std::exchange(opened, std::nullopt), progress, &locator);
     if (!retryable(outcome)) break;
   }
 
+  if (outcome.ok() && pending) {
+    // Complete the catalog row that was registered pending.
+    outcome = await_reply<api::Unit>(bus_, pump_, [&](api::Reply<Status> done) {
+      bus_.dc_register(data, std::move(done));
+    });
+  }
   if (outcome.ok()) {
     // Publish the minted locator so readers can find this replica.
     outcome = await_reply<api::Unit>(bus_, pump_, [&](api::Reply<Status> done) {
@@ -92,36 +123,77 @@ Status TcpTransfer::upload(const core::Data& data, const std::string& path) {
   return outcome;
 }
 
-Status TcpTransfer::put_round(const core::Data& data, const std::string& path,
-                              ProgressReport& progress, core::Locator* locator_out) {
+Status TcpTransfer::put_round(core::Data& data, const std::string& path,
+                              std::optional<std::int64_t> opened, ProgressReport& progress,
+                              core::Locator* locator_out) {
   const Expected<std::int64_t> start =
-      await_reply<std::int64_t>(bus_, pump_, [&](api::Reply<Expected<std::int64_t>> done) {
-        bus_.dr_put_start(data, std::move(done));
-      });
+      opened.has_value()
+          ? Expected<std::int64_t>(*opened)
+          : await_reply<std::int64_t>(bus_, pump_, [&](api::Reply<Expected<std::int64_t>> done) {
+              bus_.dr_put_start(data, std::move(done));
+            });
   if (!start.ok()) return Status(start.error());
   std::int64_t offset = *start;
   if (offset > 0) ++stats_.resumes;
 
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Error{Errc::kInvalidArgument, "tcp", "cannot open " + path};
-  in.seekg(offset);
+  const rpc::Fd in{::open(path.c_str(), O_RDONLY | O_CLOEXEC)};
+  struct stat before{};
+  if (!in.valid() || ::fstat(in.get(), &before) != 0) {
+    return Error{Errc::kInvalidArgument, "tcp", "cannot open " + path};
+  }
+  const auto changed = [&path](const char* how) {
+    return Error{Errc::kUnavailable, "tcp", path + " changed while uploading (" + how + ")"};
+  };
 
-  std::string buffer;
-  while (offset < data.size) {
-    const std::int64_t want = std::min(config_.chunk_bytes, data.size - offset);
-    buffer.resize(static_cast<std::size_t>(want));
-    in.read(buffer.data(), want);
-    if (in.gcount() != want) {
-      return Error{Errc::kUnavailable, "tcp", path + " changed while uploading (short read)"};
+  // A pending descriptor is hashed as it is sent: a helper thread re-reads
+  // the resumed prefix from the file, then takes each chunk once it is in
+  // flight, so the hash overlaps the sending.
+  const bool pending = data.checksum.empty();
+  std::optional<HashThread> hasher;
+  if (pending) {
+    if (before.st_size != data.size) return changed("size");
+    hasher.emplace(in.get(), offset);
+  }
+  {
+    // One chunk in flight, so the repository sees offsets in order, plus a
+    // paced dt_monitor and a spare slot for a monitor reply still out.
+    const DepthScope depth(bus_, kPutDepth);
+    std::string chunk;
+    while (offset < data.size) {
+      const std::int64_t want = std::min(config_.chunk_bytes, data.size - offset);
+      chunk.resize(static_cast<std::size_t>(want));
+      if (!read_exact(in.get(), chunk, offset)) return changed("short read");
+      const ReplySlot<api::Unit> reply = issue_call<api::Unit>([&](api::Reply<Status> done) {
+        bus_.dr_put_chunk(data.uid, offset, chunk, std::move(done));
+      });
+      if (hasher.has_value()) hasher->push(std::move(chunk));
+      const Status sent = wait_reply(bus_, pump_, reply);
+      if (!sent.ok()) return sent;
+      offset += want;
+      stats_.bytes_sent += want;
+      ++stats_.chunks_sent;
+      progress.update(offset);
     }
-    const Status sent = await_reply<api::Unit>(bus_, pump_, [&](api::Reply<Status> done) {
-      bus_.dr_put_chunk(data.uid, offset, buffer, std::move(done));
-    });
-    if (!sent.ok()) return sent;
-    offset += want;
-    stats_.bytes_sent += want;
-    ++stats_.chunks_sent;
-    progress.update(offset);
+  }
+
+  if (pending) {
+    // The digest covers the bytes read; they are the file's only if it
+    // kept its size and mtime until the last read.
+    const std::string digest = hasher->finish();
+    struct stat after{};
+    if (::fstat(in.get(), &after) != 0 || after.st_size != before.st_size ||
+        after.st_mtim.tv_sec != before.st_mtim.tv_sec ||
+        after.st_mtim.tv_nsec != before.st_mtim.tv_nsec) {
+      return changed("size or mtime");
+    }
+    // From here on the descriptor is complete: a later round resumes the
+    // sealed stage, or seals it, without hashing again.
+    data.checksum = digest;
+    const Expected<std::int64_t> sealed =
+        await_reply<std::int64_t>(bus_, pump_, [&](api::Reply<Expected<std::int64_t>> done) {
+          bus_.dr_put_start(data, std::move(done));
+        });
+    if (!sealed.ok()) return Status(sealed.error());
   }
 
   const Expected<core::Locator> committed =

@@ -4,15 +4,17 @@
 // (dr_put_start / dr_put_chunk / dr_put_commit / dr_get_chunk):
 //
 //  * uploads and downloads run in fixed-size chunks (config.chunk_bytes);
-//    an upload sends one chunk at a time, a download keeps kGetWindow
-//    chunk fetches in flight and raises the bus's pipeline depth to
-//    kGetWindow + 1 for the duration (the caller's depth comes back after);
+//    an upload keeps one chunk in flight, a download kGetWindow chunk
+//    fetches, and each raises the bus's pipeline depth for its chunk loop
+//    (the caller's depth comes back after);
 //  * a dropped connection or daemon restart is survived by resuming at the
 //    offset the repository reports (put) or at the length of the on-disk
 //    `.part` file (get) — up to config.max_attempts rounds;
 //  * content integrity is MD5-verified end to end: the repository checks
-//    the assembled upload against the datum's registered checksum at commit
-//    (Errc::kChecksumMismatch), and get_file writes through a PartFile
+//    the assembled upload against the datum's checksum at commit
+//    (Errc::kChecksumMismatch). An upload of a pending descriptor (empty
+//    checksum) hashes each chunk while it is in flight and seals the stage
+//    with the digest before the commit. get_file writes through a PartFile
 //    (transfer/part_file.hpp), which hashes every byte of the `.part` on a
 //    helper thread while the next chunks cross the wire and verifies the
 //    digest before renaming `.part` into place;
@@ -30,6 +32,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string>
 
 #include "api/service_bus.hpp"
@@ -77,12 +80,22 @@ class TcpTransfer {
   /// hashes `path` and fails kInvalidArgument on a mismatch, then upload()s.
   api::Status put_file(const core::Data& data, const std::string& path);
 
-  /// put_file() after its descriptor check, for a caller that has just
-  /// hashed `path` and matched it against `data` itself. Publishes the
-  /// minted locator in the Data Catalog on success. The repository still
-  /// verifies the assembled bytes at commit, so a file changed since the
-  /// caller hashed it fails kChecksumMismatch (or kUnavailable if it shrank).
-  api::Status upload(const core::Data& data, const std::string& path);
+  /// Uploads the file at `path` as the content of `data` without hashing it
+  /// first, and publishes the minted locator in the Data Catalog.
+  ///  * A checksummed `data` is put_file() after its descriptor check, for a
+  ///    caller that has just hashed `path` and matched it itself. The
+  ///    repository still verifies the bytes at commit, so a file changed
+  ///    since fails kChecksumMismatch (or kUnavailable if it shrank).
+  ///  * A pending `data` (empty checksum, registered so in the catalog) is
+  ///    hashed while it is sent: the resumed prefix from the file, then
+  ///    each chunk while it is in flight. A file whose fstat size or mtime
+  ///    moved meanwhile fails kUnavailable unsealed. Otherwise the digest
+  ///    seals the stage and, after the commit, completes the catalog row;
+  ///    `data.checksum` receives it.
+  /// `opened` is the offset a dr_put_start the caller has just issued for
+  /// `data` returned: the first round continues there instead of asking.
+  api::Status upload(core::Data& data, const std::string& path,
+                     std::optional<std::int64_t> opened = std::nullopt);
 
   /// Downloads the content of `data` into `path` (staged via `path`.part,
   /// renamed only after MD5 verification against data.checksum). A chunk
@@ -93,8 +106,9 @@ class TcpTransfer {
   const TcpConfig& config() const { return config_; }
 
  private:
-  api::Status put_round(const core::Data& data, const std::string& path,
-                        ProgressReport& progress, core::Locator* locator_out);
+  api::Status put_round(core::Data& data, const std::string& path,
+                        std::optional<std::int64_t> opened, ProgressReport& progress,
+                        core::Locator* locator_out);
   api::Status get_round(const core::Data& data, const std::string& path,
                         ProgressReport& progress);
 

@@ -224,6 +224,43 @@ TEST(RingLive, EquivalentToLocalCatalogAcrossMembers) {
   }
 }
 
+TEST(RingLive, PendingRowCompletesOnceOnOwnerAndReplicas) {
+  Member a, b, c;
+  ASSERT_TRUE(a.start().ok());
+  ASSERT_TRUE(b.start(a.endpoint()).ok());
+  ASSERT_TRUE(c.start(a.endpoint()).ok());
+  ASSERT_TRUE(eventually(5, [&] { return ring_converged(a.host->port(), 3); }));
+
+  auto bus_a = connect(a.host->port());
+  auto bus_c = connect(c.host->port());
+  const core::Data pending = make_data(77);  // no checksum: an upload in progress
+  ASSERT_TRUE(dc_register(*bus_a, pending).ok());
+  core::Data complete = pending;
+  complete.checksum = "0123456789abcdef0123456789abcdef";
+  ASSERT_TRUE(dc_register(*bus_c, complete).ok());  // completes it, wherever it lives
+  core::Data again = complete;
+  again.checksum = "fedcba9876543210fedcba9876543210";
+  EXPECT_EQ(dc_register(*bus_a, again).code(), Errc::kDuplicate);
+
+  for (Member* m : {&a, &b, &c}) {
+    auto bus = connect(m->host->port());
+    const auto got = dc_get(*bus, pending.uid);
+    ASSERT_TRUE(got.ok()) << got.error().to_string();
+    EXPECT_EQ(*got, complete);
+  }
+  // Writes replicate before they are answered: once the hosts stop, the
+  // owner and its replica hold the completed row.
+  for (Member* m : {&a, &b, &c}) m->host->stop();
+  int holders = 0;
+  for (Member* m : {&a, &b, &c}) {
+    const auto held = m->container->dc().get(pending.uid);
+    if (!held.has_value()) continue;
+    EXPECT_EQ(*held, complete);
+    ++holders;
+  }
+  EXPECT_GE(holders, 2);
+}
+
 TEST(RingLive, JoinTakesOverKeysAndServesThem) {
   Member a;
   ASSERT_TRUE(a.start().ok());

@@ -76,6 +76,34 @@ TEST_F(CatalogTest, NamesAreNotUnique) {
   EXPECT_EQ(catalog_.search("shared").size(), 2u);
 }
 
+TEST_F(CatalogTest, PendingRowIsCompletedOnceInPlace) {
+  Data pending = make_data("upload", 4096);
+  pending.checksum.clear();
+  ASSERT_TRUE(catalog_.register_data(pending));
+  EXPECT_FALSE(catalog_.register_data(pending));  // a second pending register
+
+  Data complete = pending;
+  complete.checksum = util::Md5::of("upload").hex();
+  Data other_name = complete;
+  other_name.name = "elsewhere";
+  Data other_size = complete;
+  other_size.size = 1;
+  EXPECT_FALSE(catalog_.register_data(other_name));
+  EXPECT_FALSE(catalog_.register_data(other_size));
+  EXPECT_EQ(catalog_.get(pending.uid), pending);
+
+  EXPECT_TRUE(catalog_.register_data(complete));
+  EXPECT_EQ(catalog_.get(pending.uid), complete);
+  EXPECT_EQ(catalog_.search("upload").size(), 1u);
+  // Complete now: every further register of the uid is a duplicate.
+  Data again = complete;
+  again.checksum = util::Md5::of("again").hex();
+  EXPECT_FALSE(catalog_.register_data(complete));
+  EXPECT_FALSE(catalog_.register_data(again));
+  EXPECT_FALSE(catalog_.register_data(pending));
+  EXPECT_EQ(catalog_.get(pending.uid), complete);
+}
+
 TEST_F(CatalogTest, LocatorsAttachAndCascadeDelete) {
   const Data data = make_data("with-locators");
   ASSERT_TRUE(catalog_.register_data(data));
@@ -240,6 +268,54 @@ TEST(Repository, StaleChunkAfterResumeChangesNothing) {
   ASSERT_EQ(repository.stage_chunk(uid, 2000, bytes.substr(2000)), services::ChunkResult::kOk);
   ASSERT_EQ(repository.stage_commit(uid, "tcp"), services::CommitResult::kOk);
   EXPECT_EQ(repository.read_bytes(uid, 0, 3000), bytes);
+}
+
+TEST(Repository, SealAdoptsTheChecksumAndKeepsTheLiveUpload) {
+  std::string bytes(3000, '\0');
+  for (std::size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<char>(i * 29 + 5);
+  FileBackedRepository fixture(bytes);
+  services::DataRepository& repository = fixture.repository;
+  const util::Auid uid = fixture.data.uid;
+  Data pending = fixture.data;
+  pending.checksum.clear();
+  ASSERT_EQ(repository.stage_begin(pending), 0);
+  ASSERT_EQ(repository.stage_chunk(uid, 0, bytes.substr(0, 1000)), services::ChunkResult::kOk);
+  EXPECT_EQ(repository.stage_begin(pending), 1000);  // a pending resume
+  ASSERT_EQ(repository.stage_chunk(uid, 1000, bytes.substr(1000, 1000)),
+            services::ChunkResult::kOk);
+
+  // A chunk in flight across the seal still lands: the seal retires nothing.
+  services::StageSlot in_flight;
+  ASSERT_EQ(repository.stage_reserve(uid, 2000, 1000, in_flight), services::ChunkResult::kOk);
+  EXPECT_EQ(repository.stage_begin(fixture.data), 2000);
+  repository.stage_write(in_flight, bytes.substr(2000));
+  EXPECT_TRUE(in_flight.written);
+  ASSERT_EQ(repository.stage_advance(in_flight), services::ChunkResult::kOk);
+  repository.stage_hash(in_flight, bytes.substr(2000));
+  ASSERT_EQ(repository.stage_commit(uid, "tcp"), services::CommitResult::kOk);
+  EXPECT_EQ(repository.read_bytes(uid, 0, 3000), bytes);
+}
+
+TEST(Repository, EveryOtherStartOnAPendingOrSealedStageResetsIt) {
+  const std::string bytes(2000, 'z');
+  FileBackedRepository fixture(bytes);
+  services::DataRepository& repository = fixture.repository;
+  const util::Auid uid = fixture.data.uid;
+  Data pending = fixture.data;
+  pending.checksum.clear();
+  Data resized = fixture.data;
+  resized.size = 1000;
+
+  ASSERT_EQ(repository.stage_begin(pending), 0);
+  ASSERT_EQ(repository.stage_chunk(uid, 0, bytes.substr(0, 1000)), services::ChunkResult::kOk);
+  EXPECT_EQ(repository.stage_begin(resized), 0);  // a seal of another size
+  EXPECT_EQ(repository.stage_received(uid), 0);
+
+  ASSERT_EQ(repository.stage_begin(fixture.data), 0);
+  ASSERT_EQ(repository.stage_chunk(uid, 0, bytes.substr(0, 1000)), services::ChunkResult::kOk);
+  EXPECT_EQ(repository.stage_begin(pending), 0);  // a pending start on a sealed stage
+  EXPECT_EQ(repository.stage_received(uid), 0);
+  EXPECT_EQ(repository.stage_commit(uid, "tcp"), services::CommitResult::kIncomplete);
 }
 
 TEST(Repository, SecondChunkAtAClaimedOffsetIsRefused) {

@@ -8,8 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <deque>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <tuple>
 
 #include "api/direct_service_bus.hpp"
 #include "api/session.hpp"
@@ -20,6 +24,7 @@
 #include "transfer/tcp.hpp"
 #include "util/bytes.hpp"
 #include "util/clock.hpp"
+#include "util/md5.hpp"
 #include "transfer/ftp.hpp"
 #include "transfer/http.hpp"
 #include "transfer/local_file.hpp"
@@ -705,6 +710,238 @@ TEST_F(TcpTransferTest, PutOfFileThatDiffersFromDescriptorFailsTyped) {
   EXPECT_EQ(tcp.put_file(data, other_path).code(), Errc::kInvalidArgument);
   EXPECT_EQ(tcp.put_file(data, (dir_ / "missing.bin").string()).code(),
             Errc::kInvalidArgument);
+}
+
+// --- Session::put_file: hashing while sending --------------------------------
+
+/// An in-process bus over a container, like DirectServiceBus, that counts
+/// the chunk bytes it carries. With `defer` set it holds every reply until
+/// pump() delivers it, oldest first, as a pipelined remote bus does.
+class RecordingBus final : public api::BusBase<RecordingBus> {
+ public:
+  RecordingBus(services::ServiceContainer& container, dht::LocalDht& ddc)
+      : container_(container), ddc_(ddc) {}
+
+  bool pump() override {
+    if (held_.empty()) return false;
+    std::function<void()> next = std::move(held_.front());
+    held_.pop_front();
+    next();
+    return true;
+  }
+
+  bool defer = false;
+  std::int64_t chunk_bytes = 0;
+
+ private:
+  friend class api::BusBase<RecordingBus>;
+
+  template <typename Op, typename... A>
+  void call(api::Reply<typename Op::Reply> done, const A&... args) {
+    if constexpr (Op::endpoint == rpc::wire::Endpoint::kDrPutChunk) {
+      chunk_bytes += static_cast<std::int64_t>(std::get<2>(std::tie(args...)).size());
+    }
+    auto reply = Op::run(container_, ddc_, args...);
+    if (!defer) {
+      done(std::move(reply));
+      return;
+    }
+    held_.push_back(
+        [done = std::move(done), reply = std::move(reply)]() mutable { done(std::move(reply)); });
+  }
+
+  services::ServiceContainer& container_;
+  dht::LocalDht& ddc_;
+  std::deque<std::function<void()>> held_;
+};
+
+/// Leaves what an interrupted Session::put_file of `payload` leaves: a
+/// pending stage, the pending descriptor and the first `staged` bytes.
+core::Data stage_interrupted_put(api::ServiceBus& bus, const std::string& name,
+                                 const std::string& payload, std::int64_t staged,
+                                 std::int64_t chunk) {
+  core::Data data;
+  data.uid = util::next_auid();
+  data.name = name;
+  data.size = static_cast<std::int64_t>(payload.size());
+  std::optional<api::Expected<std::int64_t>> started;
+  bus.dr_put_start(data, [&](auto reply) { started = std::move(reply); });
+  EXPECT_TRUE(started.has_value() && started->ok() && **started == 0);
+  std::optional<Status> registered;
+  bus.dc_register(data, [&](Status s) { registered = s; });
+  EXPECT_TRUE(registered.has_value() && registered->ok());
+  for (std::int64_t at = 0; at < staged; at += chunk) {
+    std::optional<Status> sent;
+    bus.dr_put_chunk(data.uid, at, payload.substr(static_cast<std::size_t>(at), chunk),
+                     [&](Status s) { sent = s; });
+    EXPECT_TRUE(sent.has_value() && sent->ok());
+  }
+  return data;
+}
+
+TEST_F(TcpTransferTest, FreshPutCompletesItsDescriptorAndTheGetVerifies) {
+  api::BitDew bitdew(bus_, "client");
+  api::ActiveData active_data(bus_, "client");
+  api::Session session(bitdew, active_data);
+  session.set_chunk_bytes(1024);
+  // Empty, a whole number of chunks, and a short last chunk.
+  for (const std::size_t size : {std::size_t{0}, std::size_t{4096}, std::size_t{5000}}) {
+    const std::string name = "fresh-" + std::to_string(size);
+    const std::string payload = make_payload(size);
+    const std::string path = write_file(name + ".bin", payload);
+    const auto put = session.put_file(name, path);
+    ASSERT_TRUE(put.ok()) << size << ": " << put.error().to_string();
+    EXPECT_EQ(put->checksum, util::Md5::of(payload).hex()) << size;
+    EXPECT_EQ(put->size, static_cast<std::int64_t>(size));
+    EXPECT_EQ(container_.dc().get(put->uid), *put) << size;
+    EXPECT_EQ(bitdew.known(name), *put) << size;
+    EXPECT_EQ(container_.dc().search(name).size(), 1u) << size;
+
+    const std::string out = (dir_ / (name + ".out")).string();
+    const Status got = session.get_file(*put, out);
+    ASSERT_TRUE(got.ok()) << size << ": " << got.error().to_string();
+    EXPECT_EQ(slurp(out), payload) << size;
+  }
+}
+
+TEST_F(TcpTransferTest, PendingPutResumesUnderItsUidAfterRestart) {
+  const std::string wal = (dir_ / "dr.wal").string();
+  const std::string payload = make_payload(10 * 1024);
+  const std::string path = write_file("resume.bin", payload);
+  constexpr std::int64_t kStaged = 4 * 1024;
+  core::Data pending;
+  {
+    services::ServiceContainer daemon("dr", clock_, wal);
+    api::DirectServiceBus bus(daemon, ddc_);
+    pending = stage_interrupted_put(bus, "resume", payload, kStaged, 1024);
+  }  // the daemon dies; its WAL and .part stay
+  services::ServiceContainer daemon("dr", clock_, wal);
+  RecordingBus bus(daemon, ddc_);
+  api::BitDew bitdew(bus, "client");
+  api::ActiveData active_data(bus, "client");
+  api::Session session(bitdew, active_data);
+  session.set_chunk_bytes(1024);
+
+  const auto put = session.put_file("resume", path);
+  ASSERT_TRUE(put.ok()) << put.error().to_string();
+  EXPECT_EQ(put->uid, pending.uid);
+  EXPECT_EQ(put->checksum, util::Md5::of(payload).hex());
+  EXPECT_EQ(bus.chunk_bytes, static_cast<std::int64_t>(payload.size()) - kStaged);
+  EXPECT_EQ(daemon.dc().search("resume").size(), 1u);
+  EXPECT_EQ(daemon.dc().get(pending.uid), *put);
+
+  const std::string out = (dir_ / "resume.out").string();
+  ASSERT_TRUE(session.get_file(*put, out).ok());
+  EXPECT_EQ(slurp(out), payload);
+}
+
+TEST_F(TcpTransferTest, ResumeOntoAnotherFilesPrefixFailsOnceAndPublishesNothing) {
+  const std::string wal = (dir_ / "dr.wal").string();
+  const std::string staged_payload = make_payload(8192);
+  std::string payload = staged_payload;
+  payload[100] = static_cast<char>(payload[100] ^ 0x10);  // same size, other bytes
+  const std::string path = write_file("other.bin", payload);
+  core::Data pending;
+  {
+    services::ServiceContainer daemon("dr", clock_, wal);
+    api::DirectServiceBus bus(daemon, ddc_);
+    pending = stage_interrupted_put(bus, "other", staged_payload, 4096, 2048);
+  }
+  services::ServiceContainer daemon("dr", clock_, wal);
+  api::DirectServiceBus bus(daemon, ddc_);
+  api::BitDew bitdew(bus, "client");
+  api::ActiveData active_data(bus, "client");
+  api::Session session(bitdew, active_data);
+  session.set_chunk_bytes(2048);
+
+  EXPECT_EQ(session.put_file("other", path).code(), Errc::kChecksumMismatch);
+  EXPECT_FALSE(daemon.dr().has_bytes(pending.uid));
+  EXPECT_EQ(daemon.dc().get(pending.uid), pending);  // still pending
+  EXPECT_EQ(daemon.dr().stage_received(pending.uid), 0);  // the stage was consumed
+
+  const auto put = session.put_file("other", path);
+  ASSERT_TRUE(put.ok()) << put.error().to_string();
+  EXPECT_EQ(put->uid, pending.uid);
+  EXPECT_EQ(put->checksum, util::Md5::of(payload).hex());
+  const std::string out = (dir_ / "other.out").string();
+  ASSERT_TRUE(session.get_file(*put, out).ok());
+  EXPECT_EQ(slurp(out), payload);
+}
+
+TEST_F(TcpTransferTest, FileRewrittenMidUploadFailsUnavailableUnsealed) {
+  RecordingBus bus(container_, ddc_);
+  bus.defer = true;
+  const std::string payload = make_payload(6000);
+  const std::string path = write_file("moving.bin", payload);
+  bool rewritten = false;
+  // The engine pumps while a chunk's reply is out: rewrite the file there,
+  // at the same size. Within one coarse filesystem clock tick the rewrite
+  // may keep the mtime, so move it as a later save would.
+  const auto pump = [&] {
+    if (!rewritten && bus.chunk_bytes > 0) {
+      const auto mtime = std::filesystem::last_write_time(path);
+      std::string other = payload;
+      other[5000] = static_cast<char>(other[5000] ^ 0x01);
+      std::ofstream(path, std::ios::binary) << other;
+      std::filesystem::last_write_time(path, mtime + std::chrono::seconds(1));
+      rewritten = true;
+    }
+    return bus.pump();
+  };
+  api::BitDew bitdew(bus, "client");
+  api::ActiveData active_data(bus, "client");
+  api::Session session(bitdew, active_data, pump);
+  session.set_chunk_bytes(1024);
+
+  const auto put = session.put_file("moving", path);
+  ASSERT_TRUE(rewritten);
+  EXPECT_EQ(put.code(), Errc::kUnavailable);
+  const std::vector<core::Data> named = container_.dc().search("moving");
+  ASSERT_EQ(named.size(), 1u);
+  EXPECT_TRUE(named[0].checksum.empty());  // never completed
+  EXPECT_FALSE(container_.dr().has_bytes(named[0].uid));
+  EXPECT_FALSE(container_.dr().exists(named[0].uid));
+}
+
+TEST_F(TcpTransferTest, CommitOfAnUnsealedStageIsRefusedAndTheStageStays) {
+  const std::string payload = make_payload(4096);
+  const core::Data pending = stage_interrupted_put(bus_, "unsealed", payload, 4096, 1024);
+  std::optional<api::Expected<core::Locator>> committed;
+  bus_.dr_put_commit(pending.uid, "tcp", [&](auto reply) { committed = std::move(reply); });
+  ASSERT_TRUE(committed.has_value());
+  EXPECT_EQ(committed->code(), Errc::kRejected) << committed->error().to_string();
+  EXPECT_EQ(container_.dr().stage_received(pending.uid), 4096);
+  EXPECT_FALSE(container_.dr().has_bytes(pending.uid));
+
+  // The seal adopts the checksum at the same watermark; then commit
+  // publishes.
+  core::Data sealed = pending;
+  sealed.checksum = util::Md5::of(payload).hex();
+  std::optional<api::Expected<std::int64_t>> resealed;
+  bus_.dr_put_start(sealed, [&](auto reply) { resealed = std::move(reply); });
+  ASSERT_TRUE(resealed.has_value() && resealed->ok());
+  EXPECT_EQ(**resealed, 4096);
+  committed.reset();
+  bus_.dr_put_commit(pending.uid, "tcp", [&](auto reply) { committed = std::move(reply); });
+  ASSERT_TRUE(committed.has_value() && committed->ok()) << committed->error().to_string();
+  EXPECT_EQ(container_.dr().read_bytes(pending.uid, 0, 8192), payload);
+}
+
+TEST_F(TcpTransferTest, ChunkToAVanishedPartFailsUnavailableNamingIt) {
+  const std::string in_path = write_file("in.bin", make_payload(2048));
+  const core::Data data = register_data("payload", in_path);
+  std::optional<api::Expected<std::int64_t>> started;
+  bus_.dr_put_start(data, [&](auto reply) { started = std::move(reply); });
+  ASSERT_TRUE(started.has_value() && started->ok());
+  const std::string part = container_.dr().stage_path(data.uid);
+  ASSERT_TRUE(std::filesystem::remove(part));
+
+  std::optional<Status> sent;
+  bus_.dr_put_chunk(data.uid, 0, make_payload(1024), [&](Status s) { sent = s; });
+  ASSERT_TRUE(sent.has_value());
+  EXPECT_EQ(sent->code(), Errc::kUnavailable);
+  EXPECT_NE(sent->error().message.find(part), std::string::npos) << sent->error().to_string();
+  EXPECT_EQ(container_.dr().stage_received(data.uid), 0);  // the row did not advance
 }
 
 // --- PeerTransfer: the multi-source peer data plane ---------------------------

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "api/remote_service_bus.hpp"
+#include "api/session.hpp"
 #include "api/transfer_manager.hpp"
 #include "rpc/reactor.hpp"
 #include "rpc/server.hpp"
@@ -1038,6 +1039,68 @@ TEST(InMemoryContentDir, UnusableTmpdirFailsPutStartUnavailable) {
   EXPECT_NE(started->error().message.find(not_a_dir), std::string::npos)
       << started->error().to_string();
   EXPECT_TRUE(rig.alive());
+}
+
+TEST(InMemoryContentDir, RefusedPendingStartLeavesNoDatumUnderTheName) {
+  TempDir tmp;
+  const std::string not_a_dir = (tmp.dir / "not-a-dir").string();
+  std::ofstream(not_a_dir) << "a regular file";
+  const std::string path = (tmp.dir / "in.bin").string();
+  std::ofstream(path, std::ios::binary) << std::string(3000, 'p');
+  const ScopedTmpdir scoped(not_a_dir);
+  HostRig rig;
+  api::RemoteServiceBus bus("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
+  api::BitDew bitdew(bus, "client");
+  api::ActiveData active_data(bus, "client");
+  api::Session session(bitdew, active_data);
+
+  EXPECT_EQ(session.put_file("refused", path).code(), Errc::kUnavailable);
+  EXPECT_TRUE(rig.container.dc().search("refused").empty());
+  EXPECT_EQ(rig.container.dc().size(), 0u);
+}
+
+TEST(DataPlane, ChunkToAVanishedPartFailsUnavailableThroughTheHost) {
+  DataPlaneRig rig(Storage::kFileBacked);
+  api::RemoteServiceBus bus("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
+  const std::string in_path = rig.write_file("in.bin", rig.make_payload(2048));
+  const core::Data data = rig.register_data(bus, "payload", in_path);
+  std::optional<api::Expected<std::int64_t>> started;
+  bus.dr_put_start(data, [&](auto reply) { started = std::move(reply); });
+  ASSERT_TRUE(started.has_value() && started->ok());
+  const std::string part = rig.container.dr().stage_path(data.uid);
+  ASSERT_TRUE(std::filesystem::remove(part));
+
+  std::optional<Status> sent;
+  bus.dr_put_chunk(data.uid, 0, rig.make_payload(1024), [&](Status s) { sent = s; });
+  ASSERT_TRUE(sent.has_value());
+  EXPECT_EQ(sent->code(), Errc::kUnavailable);
+  EXPECT_NE(sent->error().message.find(part), std::string::npos) << sent->error().to_string();
+  EXPECT_EQ(rig.container.dr().stage_received(data.uid), 0);
+  EXPECT_TRUE(rig.alive());
+}
+
+TEST(DataPlane, SessionPutLeavesTheCallersPipelineDepth) {
+  DataPlaneRig rig(Storage::kInMemory);
+  api::RemoteServiceBus bus("127.0.0.1", rig.host.port(), api::RemoteBusConfig{1.0, 5.0});
+  api::BitDew bitdew(bus, "client");
+  api::ActiveData active_data(bus, "client");
+  // A pipelined bus needs the session to pump its replies.
+  api::Session session(bitdew, active_data, [&bus] { return bus.pump(); });
+  session.set_chunk_bytes(16 * 1024);
+  const std::string payload = rig.make_payload(100000);
+  const std::string path = rig.write_file("in.bin", payload);
+  for (const int depth : {1, 16}) {
+    bus.set_pipeline_depth(depth);
+    const std::string name = "depth-" + std::to_string(depth);
+    const auto put = session.put_file(name, path);
+    ASSERT_TRUE(put.ok()) << depth << ": " << put.error().to_string();
+    EXPECT_EQ(bus.pipeline_depth(), depth);
+    EXPECT_EQ(put->checksum, util::Md5::of(payload).hex());
+    const std::string out = (rig.dir / (name + ".out")).string();
+    ASSERT_TRUE(session.get_file(*put, out).ok()) << depth;
+    EXPECT_EQ(bus.pipeline_depth(), depth);
+    EXPECT_EQ(rig.slurp(out), payload);
+  }
 }
 
 TEST(ServiceHostHardening, ManyConcurrentClients) {
